@@ -320,21 +320,25 @@ fn memo_stream(
 
 /// Asserts two outputs of the same tree are value-identical, instance
 /// by instance (the bench-level equivalence gate; the unit suites do
-/// the same per fixture).
+/// the same per fixture). Both outputs come from
+/// `BatchDriver::compile_batch_with_store`.
 fn assert_outputs_match(
     tree: &ParseTree<PVal>,
     on: &paragram_driver::TreeOutput<PVal>,
     off: &paragram_driver::TreeOutput<PVal>,
     ctx: &str,
 ) {
+    let (Some(on_store), Some(off_store)) = (&on.store, &off.store) else {
+        panic!("{ctx}: outputs come from a store-retaining batch");
+    };
     let g = tree.grammar();
     for node in tree.node_ids() {
         let sym = g.prod(tree.node(node).prod).lhs;
         for a in 0..g.attr_count(sym) {
             let attr = paragram_core::grammar::AttrId(a as u32);
             assert_eq!(
-                on.store.get(node, attr),
-                off.store.get(node, attr),
+                on_store.get(node, attr),
+                off_store.get(node, attr),
                 "{ctx}: node {node:?} attr {attr:?} diverged with the memo cache on"
             );
         }
@@ -408,12 +412,14 @@ fn run_memo(compiler: &Compiler, args: &Args, out: &mut String) {
             plan,
             config(MEMO_BYTES).with_memo_install(InstallPolicy::SecondTouch),
         ));
-        let off_cold = off_driver.compile_batch(trees.iter().cloned()).unwrap();
-        let on_cold = on_driver.compile_batch(trees.iter().cloned()).unwrap();
-        let tq_cold = tq_driver.compile_batch(trees.iter().cloned()).unwrap();
-        let off_warm = off_driver.compile_batch(trees.iter().cloned()).unwrap();
-        let on_warm = on_driver.compile_batch(trees.iter().cloned()).unwrap();
-        let tq_warm = tq_driver.compile_batch(trees.iter().cloned()).unwrap();
+        let batch =
+            |d: &mut BatchDriver<PVal>| d.compile_batch_with_store(trees.iter().cloned()).unwrap();
+        let off_cold = batch(&mut off_driver);
+        let on_cold = batch(&mut on_driver);
+        let tq_cold = batch(&mut tq_driver);
+        let off_warm = batch(&mut off_driver);
+        let on_warm = batch(&mut on_driver);
+        let tq_warm = batch(&mut tq_driver);
         for (i, tree) in trees.iter().enumerate() {
             let ctx = format!("memo/{} tree {i}", variant.name);
             assert_outputs_match(tree, &on_cold.outputs[i], &off_cold.outputs[i], &ctx);
@@ -725,7 +731,9 @@ fn run_sched(compiler: &Compiler, args: &Args, out: &mut String) {
     // value-identical to fixed placement's on every tree.
     let compile = |sched: SchedulerMode| {
         let mut driver = BatchDriver::new(&CompilationPlan::from_plan(plan, config(sched)));
-        driver.compile_batch(stream.iter().cloned()).unwrap()
+        driver
+            .compile_batch_with_store(stream.iter().cloned())
+            .unwrap()
     };
     let fixed_out = compile(SchedulerMode::Fixed);
     let steal_out = compile(SchedulerMode::Stealing);

@@ -22,6 +22,12 @@
 //!   a job actually ran, and steal/locality telemetry surfaced through
 //!   batch and service reports. The simulator seeds and steals with
 //!   the same policy code, so sim rankings exercise what deploys.
+//!   As in the paper's §4.2, a ticket retires with its root values
+//!   only: a region ships its store back with `Done` only when the
+//!   retiring thread will read it (a memo install, or a ticket
+//!   submitted through `WorkerPool::submit_with_store`); every other
+//!   region store is dropped on the worker that built it, after its
+//!   `Done` is sent. The whole-tree store is opt-in per ticket.
 //! * [`threads`] — the same protocol as a one-shot, depth-1 convenience
 //!   wrapper over [`pool`], demonstrating genuine parallel speedup on
 //!   host cores for a single tree.

@@ -45,9 +45,35 @@
 //!                  │  Attr { t, region, .. }   between (t,q) machines
 //!                  │  Register { t, .. }       streams to librarian
 //!                  ▼
-//! Done(t, q) per region ─▶ parser assembles InFlight(t)
+//! Done(t, q) per region ─▶ parser collects InFlight(t)
 //!                        ─▶ Resolve(t) at retirement ─▶ PoolReport
 //! ```
+//!
+//! # Retirement: root values by default
+//!
+//! As in the paper's §4.2, the parser reads only the root's results: a
+//! ticket retires with its librarian-resolved **root values**, and
+//! [`PoolReport::store`] is `None`. `submit` decides per region whether
+//! the retiring thread will read that region's [`RegionStore`] at all,
+//! and carries the answer as a `ship_store` bit on the job — through
+//! stealing, migration and crash reseeding alike. A region ships its
+//! store with its `Done` only when
+//!
+//! * the ticket was submitted through [`WorkerPool::submit_with_store`]
+//!   (the store-retaining reference path: tests and debugging), or
+//! * the memo cache is on and the region is cacheable
+//!   (`region_cacheable`), so the retire-time memo install can read
+//!   its span.
+//!
+//! Every other region drops its store on the worker that built it,
+//! *after* its `Done` is sent, so the free runs off the ticket's
+//! critical path. Retirement is then O(roots): librarian resolution,
+//! root inflation and memo installs. Only a store-retaining ticket pays
+//! the O(tree) sparse assembly (whole-tree store, region absorption,
+//! segment inflation). The librarian keeps its own copy of registered
+//! text, so the inflated root values share no buffer with an
+//! evaluator's heap and the caller frees them without contending with
+//! the workers' store drops.
 //!
 //! Because regions — not trees — are the work items, a single huge tree
 //! decomposed into many budget-sized regions
@@ -72,9 +98,9 @@
 //! the symbol-table pipeline), the worker steps the next job's machine
 //! instead of idling. Both the early-finisher idle time *and* the
 //! blocked-on-messages time an epoch barrier would waste become useful
-//! work, and the parser-side assembly of tree N (store merge + segment
-//! inflation) overlaps tree N+1's evaluation. Depth 1 restores the
-//! strict one-epoch-per-tree barrier.
+//! work, and the parser-side retirement of tree N (librarian
+//! resolution, root inflation) overlaps tree N+1's evaluation. Depth 1
+//! restores the strict one-epoch-per-tree barrier.
 //!
 //! # Placement: fixed modular vs. work stealing
 //!
@@ -113,8 +139,8 @@
 //!
 //! Either way the protocol stays deterministic in *results* at every
 //! depth and granularity: attribute messages carry their
-//! `(ticket, region)` destination, and per-ticket result assembly
-//! merges region stores in region order — placement and machine
+//! `(ticket, region)` destination, and a store-retaining ticket's
+//! assembly merges region stores in region order — placement and machine
 //! scheduling affect timing only, never values (each attribute
 //! instance has exactly one defining rule). Dependencies between
 //! machines exist only *within* a ticket and no machine ever waits for
@@ -127,6 +153,8 @@
 //! Use [`WorkerPool::submit`] / [`WorkerPool::collect`] to keep the
 //! window full (what `paragram-driver`'s batch driver does), or the
 //! one-shot [`WorkerPool::eval`] when compiling a single tree.
+//! [`WorkerPool::submit_with_store`] is the one entry point that also
+//! returns the whole-tree attribute store.
 
 use crate::eval::{AttrMsg, EvalError, EvalPlan, Machine, MachineMode, MachineScratch, SendTarget};
 use crate::grammar::{AttrId, AttrKind};
@@ -442,13 +470,17 @@ pub struct PoolReport<V: AttrValue> {
     /// Root attribute values, librarian-resolved.
     pub root_values: Vec<(AttrId, V)>,
     /// Merged attribute store, librarian-resolved (independent of the
-    /// decomposition that produced it).
-    pub store: AttrStore<V>,
+    /// decomposition that produced it). `Some` only for tickets
+    /// submitted through [`WorkerPool::submit_with_store`]; every other
+    /// ticket retires with its root values alone.
+    pub store: Option<AttrStore<V>>,
     /// The librarian's segment store for this tree's ticket.
     pub segments: SegmentStore,
     /// Aggregated statistics.
     pub stats: EvalStats,
-    /// Wall-clock time from job dispatch to retirement. Under a
+    /// Wall-clock time from job dispatch to the end of retirement:
+    /// evaluation, librarian resolution, root inflation, memo installs
+    /// and (for a store-retaining ticket) store assembly. Under a
     /// pipelined window this overlaps with neighbouring trees' times.
     pub elapsed: Duration,
     /// Number of regions actually used.
@@ -460,6 +492,8 @@ struct JobMsg<V> {
     tree: Arc<ParseTree<V>>,
     decomp: Arc<Decomposition>,
     region: RegionId,
+    /// Whether Done carries the region store (see the module docs).
+    ship_store: bool,
 }
 
 enum WorkerMsg<V> {
@@ -499,9 +533,11 @@ enum ParserMsg<V> {
     Done {
         ticket: Ticket,
         region: RegionId,
-        /// A finished region ships its O(region) local store back; the
-        /// parser role maps it into the whole-tree store at assembly.
-        result: Result<(EvalStats, RegionStore<V>), EvalError>,
+        /// A finished region's statistics, plus its O(region) local
+        /// store when the job's `ship_store` bit asked for it (memo
+        /// install or a store-retaining ticket); otherwise the worker
+        /// drops the store itself.
+        result: Result<RegionResult<V>, EvalError>,
     },
 }
 
@@ -521,20 +557,30 @@ enum LibMsg {
     Shutdown,
 }
 
+/// What one finished region reports: its statistics and, when shipped,
+/// its region store.
+type RegionResult<V> = (EvalStats, Option<RegionStore<V>>);
+
 /// Per-ticket assembly state: what the parser role has collected for
 /// one in-flight tree so far.
 struct InFlight<V: AttrValue> {
     ticket: Ticket,
-    /// The tree under evaluation — assembly sizes the whole-tree store
-    /// and resolves the region stores' slot spans against it.
+    /// The tree under evaluation — memo installs walk its subtrees, and
+    /// a store-retaining ticket's assembly sizes the whole-tree store
+    /// against it.
     tree: Arc<ParseTree<V>>,
     /// The decomposition — retire-time memo installation needs region
     /// roots and parents.
     decomp: Arc<Decomposition>,
     regions: usize,
+    /// Per-region `ship_store` bits, kept so crash recovery reseeds a
+    /// lost job with the bit it was submitted with.
+    ship: Vec<bool>,
+    /// Submitted through [`WorkerPool::submit_with_store`].
+    full_store: bool,
     expected_roots: usize,
     raw_roots: Vec<(AttrId, V)>,
-    region_results: Vec<Option<(EvalStats, RegionStore<V>)>>,
+    region_results: Vec<Option<RegionResult<V>>>,
     done: usize,
     start: Instant,
     /// First error any region machine raised; a failed entry's
@@ -753,6 +799,9 @@ struct PendingJob<V: AttrValue> {
     /// unit of the per-worker load accounting.
     work: u64,
     early: Vec<(NodeId, AttrId, V)>,
+    /// Whether Done carries the region store; travels with the job
+    /// through steals and crash reseeding.
+    ship_store: bool,
 }
 
 /// Per-job input log: every boundary value delivered to a live job,
@@ -893,7 +942,22 @@ impl<V: AttrValue> WorkerPool<V> {
             let mut ledger = SegmentLedger::new();
             while let Ok(msg) = lib_rx.recv() {
                 match msg {
-                    LibMsg::Register { ticket, id, text } => ledger.register(ticket, id, text),
+                    LibMsg::Register { ticket, id, text } => {
+                        // Keep the librarian's own copy of plain text, as
+                        // it would have after a real wire. The root
+                        // values the caller receives then point into
+                        // this thread's heap, not an evaluator's: on a
+                        // 2-core box, a caller freeing a multi-megabyte
+                        // evaluator-allocated buffer while that
+                        // evaluator drops its region store stalled
+                        // ~50–90 ms on the allocator (huge workload).
+                        let text = if text.has_segments() {
+                            text
+                        } else {
+                            Rope::leaf(text.to_string())
+                        };
+                        ledger.register(ticket, id, text)
+                    }
                     LibMsg::Resolve { ticket } => {
                         if lib_reply_tx.send((ticket, ledger.resolve(ticket))).is_err() {
                             return;
@@ -1026,7 +1090,24 @@ impl<V: AttrValue> WorkerPool<V> {
     /// A ticket whose evaluation fails (cycle, plan inconsistency,
     /// contained rule panic) surfaces as a [`TicketFailure`] in
     /// submission order; the pool itself stays fully usable.
+    ///
+    /// The ticket retires with its root values only
+    /// ([`PoolReport::store`] is `None`); see
+    /// [`WorkerPool::submit_with_store`] for the whole-tree store.
     pub fn submit(&mut self, tree: &Arc<ParseTree<V>>) -> Ticket {
+        self.submit_ticket(tree, false)
+    }
+
+    /// [`WorkerPool::submit`], but the ticket also retires with the
+    /// merged whole-tree attribute store in [`PoolReport::store`]. Every
+    /// region ships its store back and retirement assembles them, an
+    /// O(tree) cost the root-values path never pays. This is the
+    /// reference path equivalence tests compare against.
+    pub fn submit_with_store(&mut self, tree: &Arc<ParseTree<V>>) -> Ticket {
+        self.submit_ticket(tree, true)
+    }
+
+    fn submit_ticket(&mut self, tree: &Arc<ParseTree<V>>, full_store: bool) -> Ticket {
         while self.in_flight.len() >= self.config.pipeline_depth {
             let retired = self.retire_front();
             self.ready.push_back(retired);
@@ -1043,17 +1124,27 @@ impl<V: AttrValue> WorkerPool<V> {
         let regions = decomp.len();
         let root_sym = self.plan.grammar().prod(tree.node(tree.root()).prod).lhs;
         let expected_roots = self.plan.syn_attrs(root_sym).len();
+        // A region ships its store only if retirement will read it: for
+        // the whole-tree store, or for a retire-time memo install.
+        let ship: Vec<bool> = (0..regions as RegionId)
+            .map(|r| {
+                full_store
+                    || self.memo.is_some()
+                        && region_cacheable(&self.plan, &self.memo_safe, tree, &decomp, r).is_some()
+            })
+            .collect();
 
         let start = Instant::now();
         if self.sched.is_some() {
-            self.seed_stealing(ticket, tree, &decomp);
+            self.seed_stealing(ticket, tree, &decomp, &ship);
         } else {
-            for r in 0..regions {
+            for (r, &ship_store) in ship.iter().enumerate() {
                 let job = WorkerMsg::Job(JobMsg {
                     ticket,
                     tree: Arc::clone(tree),
                     decomp: Arc::clone(&decomp),
                     region: r as RegionId,
+                    ship_store,
                 });
                 // Region r of ticket t is pinned to worker
                 // (r + offset(t)) mod W: a tree with more regions than
@@ -1073,6 +1164,8 @@ impl<V: AttrValue> WorkerPool<V> {
             tree: Arc::clone(tree),
             decomp,
             regions,
+            ship,
+            full_store,
             expected_roots,
             raw_roots: Vec::with_capacity(expected_roots),
             region_results: (0..regions).map(|_| None).collect(),
@@ -1093,7 +1186,13 @@ impl<V: AttrValue> WorkerPool<V> {
     /// boundary-attribute traffic worker-local. Every region is
     /// registered in the location table *before* any worker is woken,
     /// so the routing paths may read an absent entry as "finished".
-    fn seed_stealing(&self, ticket: Ticket, tree: &Arc<ParseTree<V>>, decomp: &Arc<Decomposition>) {
+    fn seed_stealing(
+        &self,
+        ticket: Ticket,
+        tree: &Arc<ParseTree<V>>,
+        decomp: &Arc<Decomposition>,
+        ship: &[bool],
+    ) {
         let sched = self.sched.as_ref().expect("stealing scheduler on");
         let workers = self.config.workers;
         let regions = decomp.len();
@@ -1119,6 +1218,7 @@ impl<V: AttrValue> WorkerPool<V> {
                 decomp: Arc::clone(decomp),
                 work: work[r],
                 early: Vec::new(),
+                ship_store: ship[r],
             });
         }
         drop(st);
@@ -1171,7 +1271,8 @@ impl<V: AttrValue> WorkerPool<V> {
 
     /// Evaluates one tree on the pool, start to finish (the one-shot
     /// path; [`super::threads::run_threads`] and single-tree drivers
-    /// use this).
+    /// use this). Like [`WorkerPool::submit`], the report carries root
+    /// values only.
     ///
     /// # Panics
     ///
@@ -1322,7 +1423,8 @@ impl<V: AttrValue> WorkerPool<V> {
     }
 
     /// Retires the (complete) oldest in-flight tree: librarian
-    /// resolution, root inflation, sparse store assembly.
+    /// resolution, root inflation, memo installs, and — for a
+    /// store-retaining ticket only — sparse store assembly.
     fn assemble_front(&mut self) -> PoolReport<V> {
         let fl = self.in_flight.pop_front().expect("checked non-empty");
         debug_assert_eq!(
@@ -1344,24 +1446,20 @@ impl<V: AttrValue> WorkerPool<V> {
             .iter()
             .map(|(a, v)| (*a, v.inflate(&segments)))
             .collect();
-        let elapsed = fl.start.elapsed();
 
-        // Sparse assembly: size the whole-tree store once, then map each
-        // region's O(region) owned span into it through the
-        // decomposition's slot layout (region order — deterministic,
-        // though the spans are disjoint anyway), and finally resolve
-        // segment references so the result is independent of the
-        // decomposition.
         // Retire-time memo installation: every cacheable region of a
         // successfully evaluated tree deposits its owned span under its
         // input signature, so later structurally identical requests can
         // skip the machine entirely. Spans are extracted in *preorder*
         // of the subtree — arena ids are builder-dependent, preorder is
-        // not.
+        // not. Cacheable regions always ship their stores (`submit`
+        // set their `ship_store` bits).
         if let Some(memo) = &self.memo {
             let g = fl.tree.grammar();
             for (ri, res) in fl.region_results.iter().enumerate() {
-                let Some((_, rstore)) = res else { continue };
+                let Some((_, Some(rstore))) = res else {
+                    continue;
+                };
                 let Some((root, subtree, inh)) = region_cacheable(
                     &self.plan,
                     &self.memo_safe,
@@ -1422,14 +1520,25 @@ impl<V: AttrValue> WorkerPool<V> {
             }
         }
 
+        // Sparse assembly, for a store-retaining ticket only: size the
+        // whole-tree store once, then map each region's O(region) owned
+        // span into it through the decomposition's slot layout (region
+        // order — deterministic, though the spans are disjoint anyway),
+        // and finally resolve segment references so the result is
+        // independent of the decomposition. A root-values ticket skips
+        // all of it; the memo-shipped region stores drop here.
         let mut stats = EvalStats::default();
-        let mut store = AttrStore::new(&fl.tree);
-        for r in fl.region_results.into_iter() {
+        let mut store = fl.full_store.then(|| AttrStore::new(&fl.tree));
+        for r in fl.region_results {
             let (s, region_store) = r.expect("every region reported");
             stats += s;
-            store.absorb_region(&fl.tree, region_store);
+            if let Some(store) = &mut store {
+                store.absorb_region(&fl.tree, region_store.expect("full-store regions ship"));
+            }
         }
-        store.inflate_all(&segments);
+        if let Some(store) = &mut store {
+            store.inflate_all(&segments);
+        }
 
         PoolReport {
             ticket: fl.ticket,
@@ -1437,7 +1546,7 @@ impl<V: AttrValue> WorkerPool<V> {
             store,
             segments,
             stats,
-            elapsed,
+            elapsed: fl.start.elapsed(),
             regions: fl.regions,
         }
     }
@@ -1501,6 +1610,7 @@ impl<V: AttrValue> WorkerPool<V> {
                     decomp: Arc::clone(&entry.decomp),
                     work,
                     early,
+                    ship_store: entry.ship[region as usize],
                 });
             }
             st.load[victim] = DEAD_LOAD;
@@ -1571,6 +1681,8 @@ struct Running<V: AttrValue> {
     /// the worker's load account at completion (0 under fixed
     /// placement, which keeps no load accounts).
     work: u64,
+    /// Whether Done carries the region store (else it drops here).
+    ship_store: bool,
     state: JobState<V>,
 }
 
@@ -1724,9 +1836,10 @@ fn worker_main<V: AttrValue>(ctx: WorkerCtx<V>) {
                     // it) must not report: the reseeded copy owns the
                     // Done now.
                     if owned {
+                        let (shipped, kept) = split_store(done.ship_store, store);
                         let result = match err {
                             Some(e) => Err(e),
-                            None => Ok((stats, store)),
+                            None => Ok((stats, shipped)),
                         };
                         if ctx
                             .parser_tx
@@ -1739,6 +1852,10 @@ fn worker_main<V: AttrValue>(ctx: WorkerCtx<V>) {
                         {
                             return;
                         }
+                        // Freed after the Done is on its way, on the
+                        // thread that allocated it: off the ticket's
+                        // critical path.
+                        drop(kept);
                     }
                     // The next machine shifted into `i`; re-drive it.
                 }
@@ -1892,6 +2009,7 @@ fn activate<V: AttrValue>(
         decomp,
         work,
         early,
+        ship_store,
     } = job;
     let parent = decomp.regions[region as usize].parent;
     let state = initial_state(ctx, tree, decomp, region, scratches);
@@ -1901,6 +2019,7 @@ fn activate<V: AttrValue>(
         parent,
         next_seg: 0,
         work,
+        ship_store,
         state,
     };
     for (node, attr, value) in early {
@@ -2039,6 +2158,7 @@ fn absorb<V: AttrValue>(
                 tree,
                 decomp,
                 region,
+                ship_store,
             } = job;
             debug_assert!(
                 running
@@ -2054,6 +2174,7 @@ fn absorb<V: AttrValue>(
                 parent,
                 next_seg: 0,
                 work: 0,
+                ship_store,
                 state,
             };
             // Replay values that raced ahead of this job; prune values
@@ -2207,11 +2328,13 @@ fn resolve_probe<V: AttrValue>(
                     return ProbeOutcome::Dead;
                 }
             }
+            let (shipped, kept) = split_store(r.ship_store, store);
             let done = ctx.parser_tx.send(ParserMsg::Done {
                 ticket: r.ticket,
                 region: r.region,
-                result: Ok((EvalStats::default(), store)),
+                result: Ok((EvalStats::default(), shipped)),
             });
+            drop(kept);
             return if done.is_ok() {
                 ProbeOutcome::Replayed
             } else {
@@ -2269,6 +2392,7 @@ fn drive<V: AttrValue>(
         next_seg,
         state,
         work: _,
+        ship_store: _,
     } = r;
     let (ticket, region, parent) = (*ticket, *region, *parent);
     let JobState::Machine(machine) = state else {
@@ -2320,6 +2444,16 @@ fn drive<V: AttrValue>(
         }
     }
     Drive::Yielded
+}
+
+/// Splits a finished region's store by its job's `ship_store` bit into
+/// `(what Done carries, what the worker drops after sending Done)`.
+fn split_store<S>(ship: bool, store: S) -> (Option<S>, Option<S>) {
+    if ship {
+        (Some(store), None)
+    } else {
+        (None, Some(store))
+    }
 }
 
 /// Whether this worker still owns the `(ticket, region)` job in the
@@ -2518,6 +2652,22 @@ mod tests {
         (trees, plan, out)
     }
 
+    /// One tree through the store-retaining entry point.
+    fn eval_with_store<V: AttrValue>(
+        pool: &mut WorkerPool<V>,
+        tree: &Arc<ParseTree<V>>,
+    ) -> PoolReport<V> {
+        pool.submit_with_store(tree);
+        pool.collect()
+            .expect("one ticket")
+            .expect("evaluation succeeds")
+    }
+
+    /// The whole-tree store of a store-retaining ticket.
+    fn full<V: AttrValue>(report: &PoolReport<V>) -> &AttrStore<V> {
+        report.store.as_ref().expect("store-retaining ticket")
+    }
+
     fn root_rope(report: &PoolReport<Value>, out: AttrId) -> Rope {
         report
             .root_values
@@ -2538,11 +2688,11 @@ mod tests {
         let mut pool = WorkerPool::new(&plan, PoolConfig::combined(3));
         // Same pool, several trees in a row (the batched path).
         for round in 0..4 {
-            let report = pool.eval(&tree).unwrap();
+            let report = eval_with_store(&mut pool, &tree);
             let got = root_rope(&report, out);
             assert!(got.content_eq(&want), "round {round}");
             assert!(report.regions > 1, "round {round}: tree was split");
-            assert_eq!(report.store.filled(), report.store.len());
+            assert_eq!(full(&report).filled(), full(&report).len());
             assert_eq!(report.ticket, round as Ticket);
         }
     }
@@ -2553,13 +2703,13 @@ mod tests {
         let (dstore, _) = dynamic_eval(&tree).unwrap();
         for workers in [1, 2, 4] {
             let mut pool = WorkerPool::new(&plan, PoolConfig::combined(workers));
-            let report = pool.eval(&tree).unwrap();
+            let report = eval_with_store(&mut pool, &tree);
             for node in tree.node_ids() {
                 let sym = tree.grammar().prod(tree.node(node).prod).lhs;
                 for a in 0..tree.grammar().attr_count(sym) {
                     let attr = AttrId(a as u32);
                     assert_eq!(
-                        report.store.get(node, attr),
+                        full(&report).get(node, attr),
                         dstore.get(node, attr),
                         "workers={workers} node={node:?} attr={attr:?}"
                     );
@@ -2599,7 +2749,7 @@ mod tests {
                 WorkerPool::new(&plan, PoolConfig::combined(3).with_pipeline_depth(depth));
             let mut reports = Vec::new();
             for tree in &trees {
-                pool.submit(tree);
+                pool.submit_with_store(tree);
             }
             assert!(pool.pending() == trees.len());
             while let Some(r) = pool.collect().map(|r| r.expect("evaluation succeeds")) {
@@ -2620,7 +2770,7 @@ mod tests {
                     root_rope(report, out).content_eq(&want),
                     "depth={depth} tree {i}"
                 );
-                assert_eq!(report.store.filled(), report.store.len());
+                assert_eq!(full(report).filled(), full(report).len());
             }
         }
     }
@@ -2636,7 +2786,7 @@ mod tests {
         let budget = (plan.tree_work(&tree) / 8).max(1);
         for workers in [1usize, 2, 3] {
             let mut pool = WorkerPool::new(&plan, PoolConfig::adaptive(workers, budget));
-            let report = pool.eval(&tree).unwrap();
+            let report = eval_with_store(&mut pool, &tree);
             assert!(
                 report.regions > workers,
                 "workers={workers}: {} regions should exceed the worker park",
@@ -2646,7 +2796,7 @@ mod tests {
                 root_rope(&report, out).content_eq(&want),
                 "workers={workers}"
             );
-            assert_eq!(report.store.filled(), report.store.len());
+            assert_eq!(full(&report).filled(), full(&report).len());
         }
     }
 
@@ -2661,7 +2811,7 @@ mod tests {
                 PoolConfig::adaptive(2, budget).with_pipeline_depth(depth),
             );
             for tree in &trees {
-                pool.submit(tree);
+                pool.submit_with_store(tree);
             }
             assert!(pool.regions_in_flight() > 0);
             let mut reports = Vec::new();
@@ -2682,7 +2832,7 @@ mod tests {
                     root_rope(report, out).content_eq(&want),
                     "depth={depth} tree {i}"
                 );
-                assert_eq!(report.store.filled(), report.store.len());
+                assert_eq!(full(report).filled(), full(report).len());
             }
         }
     }
@@ -2896,11 +3046,11 @@ mod tests {
                 ..PoolConfig::combined(2).with_memo_capacity(1 << 20)
             };
             let mut pool = WorkerPool::new(&plan, config);
-            let r1 = pool.eval(&t1).unwrap();
+            let r1 = eval_with_store(&mut pool, &t1);
             let after_first = pool.memo_counters().unwrap();
             assert!(after_first.inserts >= 1, "{mode:?}: first tree installs");
             assert_eq!(after_first.hits, 0, "{mode:?}: cold cache cannot hit");
-            let r2 = pool.eval(&t2).unwrap();
+            let r2 = eval_with_store(&mut pool, &t2);
             let after_second = pool.memo_counters().unwrap();
             assert!(
                 after_second.hits >= 1,
@@ -2916,13 +3066,13 @@ mod tests {
                 for a in 0..g.attr_count(sym) {
                     let attr = AttrId(a as u32);
                     assert_eq!(
-                        r2.store.get(node, attr),
+                        full(&r2).get(node, attr),
                         dstore.get(node, attr),
                         "{mode:?} node={node:?} attr={attr:?}"
                     );
                 }
             }
-            assert_eq!(r2.store.filled(), r2.store.len());
+            assert_eq!(full(&r2).filled(), full(&r2).len());
             assert_eq!(
                 r1.root_values.iter().find(|(a, _)| *a == out),
                 r2.root_values.iter().find(|(a, _)| *a == out),
@@ -2993,7 +3143,7 @@ mod tests {
                         .with_scheduler(SchedulerMode::Stealing),
                 );
                 for tree in &trees {
-                    pool.submit(tree);
+                    pool.submit_with_store(tree);
                 }
                 let mut reports = Vec::new();
                 while let Some(r) = pool.collect().map(|r| r.expect("evaluation succeeds")) {
@@ -3011,7 +3161,7 @@ mod tests {
                         root_rope(report, out).content_eq(&want),
                         "workers={workers} depth={depth} tree {i}"
                     );
-                    assert_eq!(report.store.filled(), report.store.len());
+                    assert_eq!(full(report).filled(), full(report).len());
                 }
             }
         }
@@ -3064,8 +3214,8 @@ mod tests {
                 .with_memo_capacity(1 << 20)
                 .with_scheduler(SchedulerMode::Stealing),
         );
-        let r1 = pool.eval(&t1).unwrap();
-        let r2 = pool.eval(&t2).unwrap();
+        let r1 = eval_with_store(&mut pool, &t1);
+        let r2 = eval_with_store(&mut pool, &t2);
         let c = pool.memo_counters().unwrap();
         assert!(c.hits >= 1, "identical tree replays under stealing ({c:?})");
         assert_eq!(
@@ -3079,7 +3229,7 @@ mod tests {
             for a in 0..g.attr_count(sym) {
                 let attr = AttrId(a as u32);
                 assert_eq!(
-                    r2.store.get(node, attr),
+                    full(&r2).get(node, attr),
                     dstore.get(node, attr),
                     "node={node:?} attr={attr:?}"
                 );
@@ -3212,8 +3362,8 @@ mod tests {
         assert!(!pool.kill_worker(1), "already dead");
         assert!(!pool.kill_worker(0), "the last survivor is spared");
         // One survivor still evaluates correctly.
-        let r = pool.eval(&tree).unwrap();
-        assert_eq!(r.store.filled(), r.store.len());
+        let r = eval_with_store(&mut pool, &tree);
+        assert_eq!(full(&r).filled(), full(&r).len());
         assert_eq!(pool.fault_counters().crashes, 1);
     }
 
@@ -3228,7 +3378,7 @@ mod tests {
                 .with_scheduler(SchedulerMode::Stealing),
         );
         for tree in &trees {
-            pool.submit(tree);
+            pool.submit_with_store(tree);
         }
         // Crash one worker while the whole stream is in flight: its
         // queued jobs migrate, its active jobs re-execute from their
@@ -3250,7 +3400,7 @@ mod tests {
                 root_rope(report, out).content_eq(&want),
                 "tree {i}: output identical to fault-free evaluation"
             );
-            assert_eq!(report.store.filled(), report.store.len());
+            assert_eq!(full(report).filled(), full(report).len());
         }
         let f = pool.fault_counters();
         assert_eq!(f.crashes, 1);
@@ -3266,6 +3416,121 @@ mod tests {
         // reset_high_water clears the fault telemetry too.
         pool.reset_high_water();
         assert_eq!(pool.fault_counters(), FaultCounters::default());
+    }
+
+    #[test]
+    fn roots_only_tickets_match_static_eval_without_a_store() {
+        let sizes = [96usize, 5, 33, 17, 64, 2];
+        let (trees, plan, out) = fixture_trees(&sizes);
+        let plans = plan.plans().expect("the fixture grammar is ordered");
+        let want: Vec<Rope> = trees
+            .iter()
+            .map(|t| {
+                let (store, _) = crate::eval::static_eval(t, plans).unwrap();
+                store
+                    .get(t.root(), out)
+                    .and_then(|v| v.as_rope().cloned())
+                    .unwrap()
+            })
+            .collect();
+        for scheduler in [SchedulerMode::Fixed, SchedulerMode::Stealing] {
+            for workers in [1usize, 2, 4] {
+                let mut pool = WorkerPool::new(
+                    &plan,
+                    PoolConfig::combined(workers).with_scheduler(scheduler),
+                );
+                for tree in &trees {
+                    pool.submit(tree);
+                }
+                let mut n = 0;
+                while let Some(r) = pool.collect() {
+                    let report = r.expect("evaluation succeeds");
+                    assert!(
+                        report.store.is_none(),
+                        "{scheduler:?} x{workers}: roots only"
+                    );
+                    assert!(
+                        root_rope(&report, out).content_eq(&want[n]),
+                        "{scheduler:?} x{workers} tree {n}"
+                    );
+                    n += 1;
+                }
+                assert_eq!(n, trees.len());
+            }
+        }
+    }
+
+    #[test]
+    fn roots_only_memo_installs_and_hits_under_both_policies() {
+        let items: Vec<i64> = (0..24).map(|i| i * 3 + 1).collect();
+        let (tree, plan, out) = memo_fixture(7, &items);
+        for policy in [
+            crate::memo::InstallPolicy::Always,
+            crate::memo::InstallPolicy::SecondTouch,
+        ] {
+            let mut pool = WorkerPool::new(
+                &plan,
+                PoolConfig::combined(2)
+                    .with_memo_capacity(1 << 20)
+                    .with_memo_install(policy),
+            );
+            let first = pool.eval(&tree).unwrap();
+            assert!(first.store.is_none());
+            // Second touch installs under 2Q; one more pass must hit
+            // under either policy.
+            for round in 1..4 {
+                let r = pool.eval(&tree).unwrap();
+                assert!(r.store.is_none());
+                assert_eq!(
+                    r.root_values.iter().find(|(a, _)| *a == out),
+                    first.root_values.iter().find(|(a, _)| *a == out),
+                    "{policy:?} round {round}"
+                );
+            }
+            let c = pool.memo_counters().unwrap();
+            assert!(
+                c.inserts >= 1,
+                "{policy:?}: roots-only tickets install ({c:?})"
+            );
+            assert!(c.hits >= 1, "{policy:?}: and later hit ({c:?})");
+        }
+    }
+
+    #[test]
+    fn killed_worker_recovers_roots_only_tickets_byte_identically() {
+        let sizes = [96usize, 64, 80, 72, 88, 56, 100, 48];
+        let (trees, plan, out) = fixture_trees(&sizes);
+        let mut pool = WorkerPool::new(
+            &plan,
+            PoolConfig::combined(3)
+                .with_pipeline_depth(sizes.len())
+                .with_scheduler(SchedulerMode::Stealing),
+        );
+        for tree in &trees {
+            pool.submit(tree);
+        }
+        let total = pool.regions_in_flight();
+        // Let some regions finish first: their stores are dropped on
+        // their workers, possibly the victim, before it dies.
+        while pool.regions_in_flight() == total {
+            std::thread::yield_now();
+            pool.poll();
+        }
+        assert!(pool.kill_worker(1));
+        let mut n = 0;
+        while let Some(r) = pool.collect() {
+            let report = r.expect("recovery completes every tree");
+            assert!(report.store.is_none());
+            let (dstore, _) = dynamic_eval(&trees[n]).unwrap();
+            let want = dstore
+                .get(trees[n].root(), out)
+                .and_then(|v| v.as_rope().cloned())
+                .unwrap();
+            assert!(root_rope(&report, out).content_eq(&want), "tree {n}");
+            n += 1;
+        }
+        assert_eq!(n, trees.len());
+        assert_eq!(pool.fault_counters().crashes, 1);
     }
 
     #[test]

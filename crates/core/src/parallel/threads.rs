@@ -18,10 +18,13 @@
 //! pipeline through the pool's ticket window.
 //!
 //! Each region machine evaluates into an O(region)
-//! [`crate::tree::RegionStore`]; the pool's per-ticket assembly maps
-//! the region-local spans back into the whole-tree store the report
-//! exposes (see [`crate::tree::AttrStore::absorb_region`]), so the
-//! report's store is identical to the pre-region-local layout's.
+//! [`crate::tree::RegionStore`]. Like the paper's parser, the report
+//! reads only the root's values; region stores are dropped on the
+//! worker threads. A caller that wants the whole-tree store builds the
+//! same pool with [`thread_pool`] and submits through
+//! [`WorkerPool::submit_with_store`], whose assembly maps the
+//! region-local spans back into one store (see
+//! [`crate::tree::AttrStore::absorb_region`]).
 //!
 //! Wall-clock speedup naturally requires a multi-core host; on a
 //! single-core machine this runtime still produces identical results
@@ -66,7 +69,8 @@ impl ThreadConfig {
 pub type ThreadReport<V> = PoolReport<V>;
 
 /// Evaluates `tree` in parallel on real threads (one-shot: spawns a
-/// worker pool for this tree only).
+/// worker pool for this tree only). The report carries the root values
+/// only (`store` is `None`).
 ///
 /// # Errors
 ///
@@ -76,19 +80,27 @@ pub fn run_threads<V: AttrValue>(
     plans: Option<&Arc<Plans>>,
     config: ThreadConfig,
 ) -> Result<ThreadReport<V>, EvalError> {
+    thread_pool(tree, plans, config).eval(tree)
+}
+
+/// The pool [`run_threads`] evaluates on: one tree, one ticket, one
+/// region per machine — the paper's single-compilation barrier
+/// (fixed-count granularity, pipeline depth 1) over `tree`'s grammar.
+pub fn thread_pool<V: AttrValue>(
+    tree: &ParseTree<V>,
+    plans: Option<&Arc<Plans>>,
+    config: ThreadConfig,
+) -> WorkerPool<V> {
     let plan = Arc::new(EvalPlan::from_parts(tree.grammar(), plans.cloned(), None));
-    let mut pool = WorkerPool::new(
+    WorkerPool::new(
         &plan,
         PoolConfig {
             mode: config.mode,
             result: config.result,
             min_size_scale: config.min_size_scale,
-            // One tree, one ticket, one region per machine: the paper's
-            // single-compilation barrier (fixed-count granularity).
             ..PoolConfig::barrier(config.machines)
         },
-    );
-    pool.eval(tree)
+    )
 }
 
 #[cfg(test)]
@@ -182,7 +194,18 @@ mod tests {
     #[test]
     fn merged_store_covers_all_instances() {
         let (tree, plans, _) = fixture(32);
+        let mut pool = thread_pool(&tree, Some(&plans), ThreadConfig::combined(3));
+        pool.submit_with_store(&tree);
+        let report = pool.collect().unwrap().unwrap();
+        let store = report.store.expect("store-retaining ticket");
+        assert_eq!(store.filled(), store.len());
+    }
+
+    #[test]
+    fn run_threads_reports_roots_only() {
+        let (tree, plans, _) = fixture(32);
         let report = run_threads(&tree, Some(&plans), ThreadConfig::combined(3)).unwrap();
-        assert_eq!(report.store.filled(), report.store.len());
+        assert!(report.store.is_none());
+        assert_eq!(report.root_values.len(), 1);
     }
 }

@@ -17,7 +17,7 @@ use paragram_core::eval::{
 };
 use paragram_core::grammar::{AttrId, Grammar, GrammarBuilder, ProdId};
 use paragram_core::parallel::pool::{PoolConfig, WorkerPool};
-use paragram_core::parallel::threads::{run_threads, ThreadConfig};
+use paragram_core::parallel::threads::{thread_pool, ThreadConfig};
 use paragram_core::parallel::ResultPropagation;
 use paragram_core::split::{decompose, Decomposition, RegionId, SplitConfig};
 use paragram_core::tree::{AttrStore, ParseTree, TreeBuilder};
@@ -204,13 +204,17 @@ proptest! {
         let dynamic_m = pump_machines(&tree, &plans, &decomp, MachineMode::Dynamic);
         assert_stores_equal(&fx.grammar, &tree, &reference, &dynamic_m, "dynamic machines")?;
 
-        let report = run_threads(&tree, Some(&plans), ThreadConfig {
+        // The `run_threads` pool, store-retaining ticket.
+        let mut pool = thread_pool(&tree, Some(&plans), ThreadConfig {
             machines,
             mode: MachineMode::Combined,
             result: ResultPropagation::Naive,
             min_size_scale: scale,
-        }).unwrap();
-        assert_stores_equal(&fx.grammar, &tree, &reference, &report.store, "run_threads")?;
+        });
+        pool.submit_with_store(&tree);
+        let report = pool.collect().unwrap().unwrap();
+        let store = report.store.as_ref().unwrap();
+        assert_stores_equal(&fx.grammar, &tree, &reference, store, "run_threads")?;
     }
 
     /// Subtree hashing is structural: within and across generated
@@ -276,16 +280,18 @@ proptest! {
                 ..PoolConfig::combined(machines).with_memo_capacity(1 << 20)
             };
             let mut off_pool = WorkerPool::new(&plan, off);
-            let off_report = off_pool.eval(&tree).unwrap();
+            off_pool.submit_with_store(&tree);
+            let off_report = off_pool.collect().unwrap().unwrap();
             assert_stores_equal(
-                &fx.grammar, &tree, &reference, &off_report.store,
+                &fx.grammar, &tree, &reference, off_report.store.as_ref().unwrap(),
                 &format!("{mode:?} memo-off"),
             )?;
             let mut on_pool = WorkerPool::new(&plan, on);
             for round in 0..2 {
-                let r = on_pool.eval(&tree).unwrap();
+                on_pool.submit_with_store(&tree);
+                let r = on_pool.collect().unwrap().unwrap();
                 assert_stores_equal(
-                    &fx.grammar, &tree, &reference, &r.store,
+                    &fx.grammar, &tree, &reference, r.store.as_ref().unwrap(),
                     &format!("{mode:?} memo-on round {round}"),
                 )?;
                 prop_assert_eq!(

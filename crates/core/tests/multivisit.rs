@@ -6,7 +6,7 @@
 use paragram_core::analysis::compute_plans;
 use paragram_core::eval::{dynamic_eval, static_eval, MachineMode};
 use paragram_core::grammar::{AttrId, Grammar, GrammarBuilder};
-use paragram_core::parallel::threads::{run_threads, ThreadConfig};
+use paragram_core::parallel::threads::{thread_pool, ThreadConfig};
 use paragram_core::parallel::ResultPropagation;
 use paragram_core::tree::{ParseTree, TreeBuilder};
 use std::sync::Arc;
@@ -129,7 +129,8 @@ fn parallel_machines_handle_three_visit_boundaries() {
     let tree = chain(&lg, 30);
     let (d, _) = dynamic_eval(&tree).unwrap();
     for machines in [2usize, 3, 5] {
-        let report = run_threads(
+        // The `run_threads` pool, store-retaining ticket.
+        let mut pool = thread_pool(
             &tree,
             Some(&plans),
             ThreadConfig {
@@ -138,13 +139,15 @@ fn parallel_machines_handle_three_visit_boundaries() {
                 result: ResultPropagation::Naive,
                 min_size_scale: 1.0,
             },
-        )
-        .unwrap();
+        );
+        pool.submit_with_store(&tree);
+        let report = pool.collect().unwrap().unwrap();
+        let store = report.store.as_ref().unwrap();
         assert_eq!(
-            report.store.get(tree.root(), lg.out),
+            store.get(tree.root(), lg.out),
             d.get(tree.root(), lg.out),
             "machines={machines}"
         );
-        assert_eq!(report.store.filled(), d.filled());
+        assert_eq!(store.filled(), d.filled());
     }
 }

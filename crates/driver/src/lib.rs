@@ -308,15 +308,24 @@ impl<V: AttrValue> fmt::Debug for CompilationPlan<V> {
 }
 
 /// Result of compiling one tree through the driver.
+///
+/// By default a tree comes back with its root values only: every
+/// region store is dropped on the worker that evaluated it (or, for a
+/// memo-cacheable region, right after its retire-time install), and no
+/// whole-tree store is built. [`BatchDriver::compile_batch_with_store`]
+/// is the one entry point that fills [`TreeOutput::store`].
 pub struct TreeOutput<V: AttrValue> {
     /// Root attribute values, librarian-resolved.
     pub root_values: Vec<(AttrId, V)>,
     /// The merged, librarian-resolved attribute store (independent of
-    /// how the tree was decomposed).
-    pub store: AttrStore<V>,
+    /// how the tree was decomposed); `Some` only for trees compiled
+    /// through [`BatchDriver::compile_batch_with_store`].
+    pub store: Option<AttrStore<V>>,
     /// Evaluation statistics aggregated over all regions.
     pub stats: EvalStats,
-    /// Wall-clock evaluation time for this tree.
+    /// Wall-clock time from dispatch to the end of retirement:
+    /// evaluation, librarian resolution, root inflation, memo installs
+    /// and any requested store assembly.
     pub elapsed: Duration,
     /// Regions (machines) this tree was decomposed into.
     pub regions: usize,
@@ -529,6 +538,29 @@ impl<V: AttrValue> BatchDriver<V> {
         &mut self,
         trees: impl IntoIterator<Item = Arc<ParseTree<V>>>,
     ) -> Result<BatchReport<V>, BatchError<V>> {
+        self.run_batch(trees, false)
+    }
+
+    /// [`BatchDriver::compile_batch`], but every output also carries
+    /// the merged whole-tree attribute store ([`TreeOutput::store`]).
+    /// Assembling it is O(tree) per output; this is the reference path
+    /// equivalence tests compare against, not a serving path.
+    ///
+    /// # Errors
+    ///
+    /// As [`BatchDriver::compile_batch`].
+    pub fn compile_batch_with_store(
+        &mut self,
+        trees: impl IntoIterator<Item = Arc<ParseTree<V>>>,
+    ) -> Result<BatchReport<V>, BatchError<V>> {
+        self.run_batch(trees, true)
+    }
+
+    fn run_batch(
+        &mut self,
+        trees: impl IntoIterator<Item = Arc<ParseTree<V>>>,
+        full_store: bool,
+    ) -> Result<BatchReport<V>, BatchError<V>> {
         let start = Instant::now();
         // Per-batch maxima from a long-lived pool: the pool tracks the
         // exact high-water marks at every dispatch (a driver sampling
@@ -539,7 +571,11 @@ impl<V: AttrValue> BatchDriver<V> {
         let mut outputs = Vec::new();
         let mut failed = None;
         for tree in trees {
-            self.pool.submit(&tree);
+            if full_store {
+                self.pool.submit_with_store(&tree);
+            } else {
+                self.pool.submit(&tree);
+            }
             while let Some(result) = self.pool.take_ready() {
                 match result {
                     Ok(report) => {
@@ -671,7 +707,9 @@ mod tests {
             .iter()
             .map(|&n| chain(&gr, top, cons, nil, n))
             .collect();
-        let report = driver.compile_batch(trees.iter().cloned()).unwrap();
+        let report = driver
+            .compile_batch_with_store(trees.iter().cloned())
+            .unwrap();
         assert_eq!(report.outputs.len(), sizes.len());
         assert_eq!(driver.trees_compiled(), sizes.len());
         for (tree, output) in trees.iter().zip(&report.outputs) {
@@ -682,7 +720,8 @@ mod tests {
                 "tree of {} nodes",
                 tree.len()
             );
-            assert_eq!(output.store.filled(), output.store.len());
+            let store = output.store.as_ref().expect("store-retaining batch");
+            assert_eq!(store.filled(), store.len());
         }
         assert!(report.trees_per_sec() > 0.0);
     }
@@ -712,7 +751,7 @@ mod tests {
         );
         let mut driver = BatchDriver::new(&plan);
         let report = driver
-            .compile_batch([Arc::clone(&tree), Arc::clone(&tree)])
+            .compile_batch_with_store([Arc::clone(&tree), Arc::clone(&tree)])
             .unwrap();
         // A single huge tree keeps more region jobs in flight than the
         // tree window suggests.
@@ -726,7 +765,8 @@ mod tests {
         let (dstore, _) = dynamic_eval(&tree).unwrap();
         for output in &report.outputs {
             assert_eq!(output.root_value(out), dstore.get(tree.root(), out));
-            assert_eq!(output.store.filled(), output.store.len());
+            let store = output.store.as_ref().expect("store-retaining batch");
+            assert_eq!(store.filled(), store.len());
         }
     }
 

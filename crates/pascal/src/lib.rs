@@ -42,6 +42,7 @@ pub use grammar::PascalGrammar;
 pub use pval::PVal;
 
 use paragram_core::eval::{dynamic_eval, static_eval, EvalError, Evaluators};
+use paragram_core::grammar::AttrId;
 use paragram_core::stats::EvalStats;
 use paragram_core::tree::{AttrStore, ParseTree, TreeError};
 use paragram_core::value::AttrValue as _;
@@ -147,12 +148,22 @@ impl Compiler {
         store: &AttrStore<PVal>,
         stats: EvalStats,
     ) -> CompileOutput {
-        let code = store
-            .get(tree.root(), self.pg.s_code)
+        self.output_from_roots(|a| store.get(tree.root(), a), stats)
+    }
+
+    /// Builds the output from the root's `code` and `errs` attributes,
+    /// looked up through `root` (a filled store or a pool's root
+    /// values) — the one place that knows which root attributes make
+    /// up a [`CompileOutput`].
+    fn output_from_roots<'a>(
+        &self,
+        root: impl Fn(AttrId) -> Option<&'a PVal>,
+        stats: EvalStats,
+    ) -> CompileOutput {
+        let code = root(self.pg.s_code)
             .map(|v| v.code().to_string())
             .unwrap_or_default();
-        let errors = store
-            .get(tree.root(), self.pg.s_errs)
+        let errors = root(self.pg.s_errs)
             .map(|v| v.as_errs().to_vec())
             .unwrap_or_default();
         CompileOutput {
@@ -221,12 +232,12 @@ impl Compiler {
         // The per-program outputs a BatchError carries are of no use
         // here: a Pascal batch is all-or-nothing, so keep the error.
         let report = driver
-            .compile_batch(trees.iter().cloned())
+            .compile_batch(trees)
             .map_err(|e| CompileError::Eval(e.error))?;
-        Ok(trees
+        Ok(report
+            .outputs
             .iter()
-            .zip(report.outputs)
-            .map(|(tree, out)| self.output_from_store(tree, &out.store, out.stats))
+            .map(|out| self.output_from_roots(|a| out.root_value(a), out.stats))
             .collect())
     }
 }

@@ -21,7 +21,7 @@ use paragram::core::grammar::AttrId;
 use paragram::core::parallel::pool::{SchedulerMode, SegmentLedger};
 use paragram::core::split::{decompose_granular, RegionGranularity, RegionId, SplitTable};
 use paragram::core::tree::{debug_allocated_slots, AttrStore, ParseTree};
-use paragram::driver::{BatchDriver, CompilationPlan, DriverConfig};
+use paragram::driver::{BatchDriver, CompilationPlan, DriverConfig, TreeOutput};
 use paragram::pascal::generator::{generate, GenConfig};
 use paragram::pascal::{Compiler, PVal};
 use paragram::rope::{Rope, SegmentId, SegmentStore};
@@ -57,6 +57,11 @@ fn store_snapshot(tree: &ParseTree<PVal>, store: &AttrStore<PVal>) -> Vec<Option
     snap
 }
 
+/// The whole-tree store of a `compile_batch_with_store` output.
+fn full(out: &TreeOutput<PVal>) -> &AttrStore<PVal> {
+    out.store.as_ref().expect("store-retaining batch")
+}
+
 /// One batch run: per-tree (asm text, full store snapshot).
 fn run_once(
     compiler: &Compiler,
@@ -73,18 +78,20 @@ fn run_once_with(
 ) -> Vec<(String, Vec<Option<PVal>>)> {
     let plan = CompilationPlan::from_plan(compiler.evals.plan(), config);
     let mut driver = BatchDriver::new(&plan);
-    let report = driver.compile_batch(trees.iter().cloned()).unwrap();
+    let report = driver
+        .compile_batch_with_store(trees.iter().cloned())
+        .unwrap();
     trees
         .iter()
         .zip(&report.outputs)
         .map(|(tree, out)| {
-            let output = compiler.output_from_store(tree, &out.store, out.stats);
+            let output = compiler.output_from_store(tree, full(out), out.stats);
             assert!(
                 output.errors.is_empty(),
                 "fixture programs compile cleanly: {:?}",
                 output.errors
             );
-            (output.asm, store_snapshot(tree, &out.store))
+            (output.asm, store_snapshot(tree, full(out)))
         })
         .collect()
 }
@@ -256,11 +263,13 @@ fn reused_pool_is_deterministic_across_repeats() {
     let mut driver = BatchDriver::new(&plan);
     let mut first: Option<Vec<String>> = None;
     for round in 0..3 {
-        let report = driver.compile_batch(trees.iter().cloned()).unwrap();
+        let report = driver
+            .compile_batch_with_store(trees.iter().cloned())
+            .unwrap();
         let asms: Vec<String> = trees
             .iter()
             .zip(&report.outputs)
-            .map(|(tree, out)| compiler.output_from_store(tree, &out.store, out.stats).asm)
+            .map(|(tree, out)| compiler.output_from_store(tree, full(out), out.stats).asm)
             .collect();
         match &first {
             None => first = Some(asms),
@@ -342,7 +351,9 @@ fn stealing_scheduler_is_byte_identical_across_workers_and_depths() {
                 .with_scheduler(SchedulerMode::Stealing);
             let plan = CompilationPlan::from_plan(compiler.evals.plan(), config);
             let mut driver = BatchDriver::new(&plan);
-            let report = driver.compile_batch(trees.iter().cloned()).unwrap();
+            let report = driver
+                .compile_batch_with_store(trees.iter().cloned())
+                .unwrap();
             if workers > 1 {
                 // Multi-region trees route boundary attributes through
                 // the shared job-location table; the telemetry must see
@@ -353,7 +364,7 @@ fn stealing_scheduler_is_byte_identical_across_workers_and_depths() {
                 );
             }
             for (i, (tree, out)) in trees.iter().zip(&report.outputs).enumerate() {
-                let output = compiler.output_from_store(tree, &out.store, out.stats);
+                let output = compiler.output_from_store(tree, full(out), out.stats);
                 assert!(output.errors.is_empty(), "{:?}", output.errors);
                 let (want_asm, want_store) = &reference[i];
                 assert_eq!(
@@ -362,7 +373,7 @@ fn stealing_scheduler_is_byte_identical_across_workers_and_depths() {
                 );
                 assert_eq!(
                     want_store,
-                    &store_snapshot(tree, &out.store),
+                    &store_snapshot(tree, full(out)),
                     "tree {i}: store differs at depth={depth} workers={workers}"
                 );
             }
@@ -411,14 +422,16 @@ fn region_granular_huge_single_tree_matches_sequential_at_every_depth_and_worker
                 .with_adaptive_budget(budget);
             let plan = CompilationPlan::from_plan(compiler.evals.plan(), config);
             let mut driver = BatchDriver::new(&plan);
-            let report = driver.compile_batch(trees.iter().cloned()).unwrap();
+            let report = driver
+                .compile_batch_with_store(trees.iter().cloned())
+                .unwrap();
             assert!(
                 report.outputs[0].regions > workers,
                 "depth={depth} workers={workers}: huge tree made {} regions",
                 report.outputs[0].regions
             );
             for (i, (tree, out)) in trees.iter().zip(&report.outputs).enumerate() {
-                let output = compiler.output_from_store(tree, &out.store, out.stats);
+                let output = compiler.output_from_store(tree, full(out), out.stats);
                 assert!(output.errors.is_empty(), "{:?}", output.errors);
                 let (want_asm, want_store) = &reference[i];
                 assert_eq!(
@@ -427,7 +440,7 @@ fn region_granular_huge_single_tree_matches_sequential_at_every_depth_and_worker
                 );
                 assert_eq!(
                     want_store,
-                    &store_snapshot(tree, &out.store),
+                    &store_snapshot(tree, full(out)),
                     "tree {i}: store differs at depth={depth} workers={workers}"
                 );
             }
@@ -590,11 +603,13 @@ fn killed_worker_leaves_batch_output_byte_identical() {
     let plan = CompilationPlan::from_plan(compiler.evals.plan(), config);
     let mut driver = BatchDriver::new(&plan);
     let before: Vec<String> = {
-        let report = driver.compile_batch(trees.iter().cloned()).unwrap();
+        let report = driver
+            .compile_batch_with_store(trees.iter().cloned())
+            .unwrap();
         trees
             .iter()
             .zip(&report.outputs)
-            .map(|(tree, out)| compiler.output_from_store(tree, &out.store, out.stats).asm)
+            .map(|(tree, out)| compiler.output_from_store(tree, full(out), out.stats).asm)
             .collect()
     };
 
@@ -604,9 +619,11 @@ fn killed_worker_leaves_batch_output_byte_identical() {
     assert_eq!(f.crashes, 1, "{f:?}");
 
     for round in 0..2 {
-        let report = driver.compile_batch(trees.iter().cloned()).unwrap();
+        let report = driver
+            .compile_batch_with_store(trees.iter().cloned())
+            .unwrap();
         for (i, (tree, out)) in trees.iter().zip(&report.outputs).enumerate() {
-            let output = compiler.output_from_store(tree, &out.store, out.stats);
+            let output = compiler.output_from_store(tree, full(out), out.stats);
             assert!(output.errors.is_empty(), "{:?}", output.errors);
             assert_eq!(
                 before[i], output.asm,
@@ -637,5 +654,48 @@ fn compile_batch_entry_point_matches_sequential_compiler() {
         let seq = compiler.compile(src).unwrap();
         assert_eq!(out.asm, seq.asm);
         assert_eq!(out.errors, seq.errors);
+    }
+}
+
+/// The default (root-values) path end to end: `compile_batch` under
+/// both schedulers, at 1/2/4 workers, memo off and on, returns no
+/// store and root values whose asm is byte-identical to the
+/// sequential static evaluator's.
+#[test]
+fn roots_only_batches_match_static_eval_without_a_store() {
+    let compiler = Compiler::new();
+    let trees: Vec<Arc<ParseTree<PVal>>> = sources()
+        .iter()
+        .map(|s| compiler.tree_from_source(s).unwrap())
+        .collect();
+    let plans = compiler.evals.plans().unwrap();
+    let want: Vec<String> = trees
+        .iter()
+        .map(|tree| {
+            let (store, stats) = static_eval(tree, plans).unwrap();
+            compiler.output_from_store(tree, &store, stats).asm
+        })
+        .collect();
+    let s_code = compiler.pg.s_code;
+    for scheduler in [SchedulerMode::Fixed, SchedulerMode::Stealing] {
+        for workers in [1usize, 2, 4] {
+            for memo in [0usize, 1 << 20] {
+                let config = DriverConfig::workers(workers)
+                    .with_scheduler(scheduler)
+                    .with_memo_capacity(memo);
+                let mut driver = compiler.batch_driver(config);
+                // Twice on one driver: the second pass replays memo hits.
+                for pass in 0..2 {
+                    let report = driver.compile_batch(trees.iter().cloned()).unwrap();
+                    for (i, out) in report.outputs.iter().enumerate() {
+                        let ctx =
+                            format!("{scheduler:?} x{workers} memo={memo} pass {pass} tree {i}");
+                        assert!(out.store.is_none(), "{ctx}: roots only");
+                        let asm = out.root_value(s_code).map(|v| v.code().to_string());
+                        assert_eq!(asm.as_deref(), Some(want[i].as_str()), "{ctx}");
+                    }
+                }
+            }
+        }
     }
 }

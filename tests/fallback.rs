@@ -5,7 +5,7 @@
 use paragram::core::eval::{dynamic_eval, Evaluators, MachineMode, Strategy};
 use paragram::core::grammar::{Grammar, GrammarBuilder, ProdId};
 use paragram::core::parallel::sim::{run_sim, SimConfig};
-use paragram::core::parallel::threads::{run_threads, ThreadConfig};
+use paragram::core::parallel::threads::{thread_pool, ThreadConfig};
 use paragram::core::parallel::ResultPropagation;
 use paragram::core::tree::{ParseTree, TreeBuilder};
 use std::sync::Arc;
@@ -128,8 +128,8 @@ fn parallel_dynamic_without_plans_matches_sequential() {
         want.get(tree.root(), paragram::core::grammar::AttrId(0))
     );
 
-    // Threads, no plans.
-    let r = run_threads(
+    // Threads, no plans: the `run_threads` pool, store-retaining ticket.
+    let mut pool = thread_pool(
         &tree,
         None,
         ThreadConfig {
@@ -138,10 +138,14 @@ fn parallel_dynamic_without_plans_matches_sequential() {
             result: ResultPropagation::Naive,
             min_size_scale: 1.0,
         },
-    )
-    .unwrap();
+    );
+    pool.submit_with_store(&tree);
+    let r = pool.collect().unwrap().unwrap();
     assert_eq!(
-        r.store.get(tree.root(), paragram::core::grammar::AttrId(0)),
+        r.store
+            .as_ref()
+            .unwrap()
+            .get(tree.root(), paragram::core::grammar::AttrId(0)),
         want.get(tree.root(), paragram::core::grammar::AttrId(0))
     );
 }

@@ -6,7 +6,7 @@
 
 use paragram::core::eval::{dynamic_eval, static_eval, MachineMode};
 use paragram::core::parallel::sim::{run_sim, SimConfig};
-use paragram::core::parallel::threads::{run_threads, ThreadConfig};
+use paragram::core::parallel::threads::{run_threads, thread_pool, ThreadConfig};
 use paragram::core::parallel::ResultPropagation;
 use paragram::pascal::generator::{generate, GenConfig};
 use paragram::pascal::{direct, parser, run_asm, Compiler, PVal};
@@ -102,7 +102,8 @@ fn parallel_store_matches_sequential_store_instance_by_instance() {
     let tree = compiler.tree_from_source(&src).unwrap();
     let plans = Arc::clone(compiler.evals.plans().unwrap());
     let (seq, _) = static_eval(&tree, &plans).unwrap();
-    let report = run_threads(
+    // The `run_threads` pool, store-retaining ticket.
+    let mut pool = thread_pool(
         &tree,
         Some(&plans),
         ThreadConfig {
@@ -111,16 +112,18 @@ fn parallel_store_matches_sequential_store_instance_by_instance() {
             result: ResultPropagation::Naive, // no segment indirection
             min_size_scale: 1.0,
         },
-    )
-    .unwrap();
-    assert_eq!(report.store.filled(), seq.filled());
+    );
+    pool.submit_with_store(&tree);
+    let report = pool.collect().unwrap().unwrap();
+    let store = report.store.as_ref().unwrap();
+    assert_eq!(store.filled(), seq.filled());
     let g = tree.grammar();
     for node in tree.node_ids() {
         let sym = g.prod(tree.node(node).prod).lhs;
         for a in 0..g.attr_count(sym) {
             let attr = paragram::core::grammar::AttrId(a as u32);
             let x = seq.get(node, attr);
-            let y = report.store.get(node, attr);
+            let y = store.get(node, attr);
             match (x, y) {
                 (Some(PVal::Code(cx)), Some(PVal::Code(cy))) => {
                     assert_eq!(cx.len(), cy.len(), "{node:?}.{attr:?}")

@@ -5,7 +5,7 @@
 use paragram::core::analysis::compute_plans;
 use paragram::core::eval::{dynamic_eval, static_eval, MachineMode};
 use paragram::core::grammar::{AttrId, Grammar, GrammarBuilder};
-use paragram::core::parallel::threads::{run_threads, ThreadConfig};
+use paragram::core::parallel::threads::{thread_pool, ThreadConfig};
 use paragram::core::parallel::ResultPropagation;
 use paragram::core::split::{decompose, SplitConfig};
 use paragram::core::tree::{ParseTree, TreeBuilder};
@@ -125,7 +125,8 @@ proptest! {
         let tree = build_tree(&g, &shape);
         let plans = Arc::new(compute_plans(g.grammar.as_ref()).unwrap());
         let (d, _) = dynamic_eval(&tree).unwrap();
-        let report = run_threads(
+        // The `run_threads` pool, store-retaining ticket.
+        let mut pool = thread_pool(
             &tree,
             Some(&plans),
             ThreadConfig {
@@ -134,8 +135,10 @@ proptest! {
                 result: ResultPropagation::Naive,
                 min_size_scale: scale,
             },
-        ).unwrap();
-        all_attrs_equal(&g.grammar, &tree, &d, &report.store)?;
+        );
+        pool.submit_with_store(&tree);
+        let report = pool.collect().unwrap().unwrap();
+        all_attrs_equal(&g.grammar, &tree, &d, report.store.as_ref().unwrap())?;
     }
 
     /// Decompositions always partition the tree, whatever the target.
