@@ -249,8 +249,8 @@ pub(crate) fn arg_instance<V: AttrValue, S: AttrSlots<V>>(
     if arg.occ == 0 {
         Some(store.instance(node, arg.attr))
     } else {
-        match &tree.node(node).children[arg.occ - 1] {
-            Child::Node(c) => Some(store.instance(*c, arg.attr)),
+        match tree.child(node, arg.occ)? {
+            Child::Node(c) => Some(store.instance(c, arg.attr)),
             Child::Token(_) => None,
         }
     }

@@ -228,7 +228,7 @@ impl<V: AttrValue + PartialEq> Incremental<V> {
                 return Some(v);
             }
         }
-        match self.tree.node(node).children.get(occ - 1)? {
+        match self.tree.child(node, occ)? {
             Child::Token(vals) => vals.get(attr.0 as usize),
             Child::Node(_) => None,
         }
@@ -250,7 +250,7 @@ impl<V: AttrValue + PartialEq> Incremental<V> {
         value: V,
     ) -> Result<usize, UpdateError> {
         // Validate and install the override.
-        let arity = match self.tree.node(node).children.get(occ.wrapping_sub(1)) {
+        let arity = match self.tree.child(node, occ) {
             Some(Child::Token(vals)) => vals.len(),
             _ => return Err(UpdateError::NotAToken { node, occ }),
         };
@@ -338,7 +338,7 @@ fn apply_rule<V: AttrValue + PartialEq>(
     let rule = &tree.grammar().prod(tree.node(node).prod).rules[ri];
     scratch.apply(rule, |a| {
         if a.occ > 0 {
-            if let Child::Token(vals) = &tree.node(node).children[a.occ - 1] {
+            if let Some(Child::Token(vals)) = tree.child(node, a.occ) {
                 if let Some(v) = overrides
                     .get(&(node, a.occ))
                     .and_then(|over| over.get(a.attr.0 as usize))

@@ -194,13 +194,11 @@ impl<V: AttrValue> Machine<V> {
         scratch.stack.push(region_root);
         while let Some(n) = scratch.stack.pop() {
             scratch.region_nodes.push(n);
-            for c in &tree.node(n).children {
-                if let crate::tree::Child::Node(c) = c {
-                    if decomp.region(*c) == region {
-                        scratch.stack.push(*c);
-                    } else {
-                        scratch.boundary.push((n, *c));
-                    }
+            for c in tree.child_nodes(n) {
+                if decomp.region(c) == region {
+                    scratch.stack.push(c);
+                } else {
+                    scratch.boundary.push((n, c));
                 }
             }
         }
@@ -338,11 +336,9 @@ impl<V: AttrValue> Machine<V> {
                     if !m.scratch.spine.contains(&n) {
                         continue;
                     }
-                    for c in &tree.node(n).children {
-                        if let crate::tree::Child::Node(c) = c {
-                            if decomp.region(*c) == region && !m.scratch.spine.contains(c) {
-                                m.scratch.static_roots.push(*c);
-                            }
+                    for c in tree.child_nodes(n) {
+                        if decomp.region(c) == region && !m.scratch.spine.contains(&c) {
+                            m.scratch.static_roots.push(c);
                         }
                     }
                 }

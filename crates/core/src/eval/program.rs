@@ -265,11 +265,11 @@ pub(crate) fn resolve_operand<'a, V: AttrValue, S: AttrSlots<V>>(
 ) -> Option<&'a V> {
     match operand {
         Operand::Lhs(attr) => store.get(node, attr),
-        Operand::Node { occ, attr } => match tree.node(node).children.get(occ as usize - 1)? {
-            Child::Node(c) => store.get(*c, attr),
+        Operand::Node { occ, attr } => match tree.child(node, occ as usize)? {
+            Child::Node(c) => store.get(c, attr),
             Child::Token(_) => None,
         },
-        Operand::Token { occ, attr } => match tree.node(node).children.get(occ as usize - 1)? {
+        Operand::Token { occ, attr } => match tree.child(node, occ as usize)? {
             Child::Token(vals) => vals.get(attr.0 as usize),
             Child::Node(_) => None,
         },

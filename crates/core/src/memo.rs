@@ -123,9 +123,13 @@ pub struct MemoCounters {
     pub inserts: u64,
     /// Entries evicted to stay under the byte budget.
     pub evictions: u64,
-    /// Installs deferred by [`InstallPolicy::SecondTouch`] (the span
-    /// was dropped and only its subtree hash marked).
+    /// Installs deferred by [`InstallPolicy::SecondTouch`] (only the
+    /// subtree hash was marked; no span was built).
     pub deferred: u64,
+    /// Spans abandoned because they outgrew a shard's byte budget
+    /// ([`MemoCache::span_budget`]): such a span could never be cached,
+    /// so it is not built past the budget.
+    pub oversized: u64,
 }
 
 impl MemoCounters {
@@ -137,6 +141,7 @@ impl MemoCounters {
             inserts: self.inserts - earlier.inserts,
             evictions: self.evictions - earlier.evictions,
             deferred: self.deferred - earlier.deferred,
+            oversized: self.oversized - earlier.oversized,
         }
     }
 
@@ -239,6 +244,7 @@ pub struct MemoCache<V> {
     inserts: AtomicU64,
     evictions: AtomicU64,
     deferred: AtomicU64,
+    oversized: AtomicU64,
 }
 
 impl<V: AttrValue> MemoCache<V> {
@@ -262,6 +268,7 @@ impl<V: AttrValue> MemoCache<V> {
             inserts: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             deferred: AtomicU64::new(0),
+            oversized: AtomicU64::new(0),
         }
     }
 
@@ -315,14 +322,48 @@ impl<V: AttrValue> MemoCache<V> {
         self.shard(&key).lock().unwrap().map.contains_key(&key)
     }
 
+    /// Whether a span offered under `key` would be taken, asked before
+    /// the span is built. Under [`InstallPolicy::SecondTouch`] the first
+    /// offer of a subtree hash answers `false` and marks the hash (a
+    /// deferred install); a marked or already-installed subtree answers
+    /// `true`, as does every offer under [`InstallPolicy::Always`]. A
+    /// span built after `true` should stop at [`MemoCache::span_budget`]
+    /// bytes ([`MemoCache::note_oversized`]) or go to
+    /// [`MemoCache::insert`].
+    pub fn admits(&self, key: MemoKey) -> bool {
+        if self.install == InstallPolicy::Always {
+            return true;
+        }
+        let mut shard = self.shard(&key).lock().unwrap();
+        if shard.subtrees.contains_key(&key.subtree) || shard.marked.contains(&key.subtree) {
+            return true;
+        }
+        let cap = self.mark_cap;
+        shard.mark(key.subtree, cap);
+        self.deferred.fetch_add(1, Ordering::Relaxed);
+        false
+    }
+
+    /// The largest span, in [`MemoEntry::bytes`], the cache can hold:
+    /// one shard's byte budget.
+    pub fn span_budget(&self) -> usize {
+        self.shard_budget
+    }
+
+    /// Counts a span abandoned past [`MemoCache::span_budget`].
+    pub fn note_oversized(&self) {
+        self.oversized.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Installs an entry, evicting least-recently-used entries from its
     /// shard as needed to stay under the budget. Entries bigger than a
-    /// whole shard's budget are not cached. Under
-    /// [`InstallPolicy::SecondTouch`], the first offer of a subtree
-    /// hash only marks it and the entry is dropped; the install goes
-    /// through once a marked (or already-installed) subtree recurs.
+    /// whole shard's budget are not cached (and count as oversized).
+    /// Under [`InstallPolicy::SecondTouch`], the first offer of a
+    /// subtree hash only marks it and the entry is dropped; the install
+    /// goes through once a marked (or already-installed) subtree recurs.
     pub fn insert(&self, key: MemoKey, entry: MemoEntry<V>) {
         if entry.bytes > self.shard_budget {
+            self.note_oversized();
             return;
         }
         let mut shard = self.shard(&key).lock().unwrap();
@@ -373,6 +414,7 @@ impl<V: AttrValue> MemoCache<V> {
             inserts: self.inserts.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             deferred: self.deferred.load(Ordering::Relaxed),
+            oversized: self.oversized.load(Ordering::Relaxed),
         }
     }
 

@@ -1480,12 +1480,16 @@ impl<V: AttrValue> WorkerPool<V> {
                     continue;
                 };
                 let key = MemoKey { subtree, inherited };
-                if memo.contains(key) {
+                // A first touch under SecondTouch only marks the subtree:
+                // no span is built for it.
+                if memo.contains(key) || !memo.admits(key) {
                     continue;
                 }
+                let budget = memo.span_budget();
                 let mut span = Vec::new();
                 let mut bytes = 0usize;
                 let mut plain = true;
+                let mut oversized = false;
                 'span: for n in fl.tree.subtree(root) {
                     let sym = g.prod(fl.tree.node(n).prod).lhs;
                     for a in 0..g.attr_count(sym) {
@@ -1501,11 +1505,19 @@ impl<V: AttrValue> WorkerPool<V> {
                                 break 'span;
                             }
                             bytes += v.wire_size();
+                            // The cache cannot hold it: stop copying.
+                            if bytes > budget {
+                                oversized = true;
+                                break 'span;
+                            }
                         }
                         span.push(v);
                     }
                 }
-                if !plain {
+                if oversized {
+                    memo.note_oversized();
+                }
+                if !plain || oversized {
                     continue;
                 }
                 memo.insert(
@@ -3493,6 +3505,44 @@ mod tests {
                 "{policy:?}: roots-only tickets install ({c:?})"
             );
             assert!(c.hits >= 1, "{policy:?}: and later hit ({c:?})");
+        }
+    }
+
+    #[test]
+    fn whole_tree_span_past_the_budget_is_never_built_or_installed() {
+        // One worker, one region: the whole tree is a cacheable region
+        // (the tree root awaits no inherited values), and its span is
+        // far bigger than a shard's share of this budget.
+        let items: Vec<i64> = (0..48).map(|i| i * 5 + 2).collect();
+        let (tree, plan, out) = memo_fixture(11, &items);
+        let want = WorkerPool::new(&plan, PoolConfig::combined(1))
+            .eval(&tree)
+            .unwrap()
+            .root_values;
+        for (policy, deferred) in [
+            (crate::memo::InstallPolicy::Always, 0),
+            (crate::memo::InstallPolicy::SecondTouch, 1),
+        ] {
+            let mut pool = WorkerPool::new(
+                &plan,
+                PoolConfig::combined(1)
+                    .with_memo_capacity(16 * 64)
+                    .with_memo_install(policy),
+            );
+            for round in 0..3 {
+                let r = pool.eval(&tree).unwrap();
+                assert_eq!(r.regions, 1);
+                assert_eq!(r.root_values, want, "{policy:?} round {round}");
+                assert!(r.root_values.iter().any(|(a, _)| *a == out));
+            }
+            let c = pool.memo_counters().unwrap();
+            assert_eq!(c.inserts, 0, "{policy:?}: {c:?}");
+            assert_eq!(c.deferred, deferred, "{policy:?}: first touch only marks");
+            assert_eq!(
+                c.oversized,
+                3 - deferred,
+                "{policy:?}: every admitted span stops at the budget"
+            );
         }
     }
 

@@ -222,9 +222,9 @@ fn region_wire_size<V: AttrValue>(
     let mut stack = vec![decomp.regions[region as usize].root];
     while let Some(n) = stack.pop() {
         bytes += 8;
-        for c in &tree.node(n).children {
+        for c in tree.children(n) {
             match c {
-                Child::Node(c) if decomp.region(*c) == region => stack.push(*c),
+                Child::Node(c) if decomp.region(c) == region => stack.push(c),
                 Child::Node(_) => bytes += 8, // remote-leaf marker
                 Child::Token(vals) => bytes += vals.iter().map(|v| v.wire_size()).sum::<usize>(),
             }

@@ -652,10 +652,8 @@ pub fn decompose_adaptive<V: AttrValue>(
     let mut sub_work = vec![0u64; tree.len()];
     for &n in pre.iter().rev() {
         let mut w = work.node_work(tree, n);
-        for c in &tree.node(n).children {
-            if let crate::tree::Child::Node(c) = c {
-                w += sub_work[c.idx()];
-            }
+        for c in tree.child_nodes(n) {
+            w += sub_work[c.idx()];
         }
         sub_work[n.idx()] = w;
     }
@@ -802,11 +800,7 @@ fn split_off<V: AttrValue>(tree: &Arc<ParseTree<V>>, d: &mut Decomposition, node
         }
         d.region_of[x.idx()] = new;
         moved += 1;
-        for c in &tree.node(x).children {
-            if let crate::tree::Child::Node(c) = c {
-                stack.push(*c);
-            }
-        }
+        stack.extend(tree.child_nodes(x));
     }
     d.regions[old as usize].local_size -= moved;
     d.regions.push(RegionInfo {
@@ -828,13 +822,11 @@ pub fn boundary_children<V: AttrValue>(
     let root = d.regions[region as usize].root;
     let mut stack = vec![root];
     while let Some(x) = stack.pop() {
-        for c in &tree.node(x).children {
-            if let crate::tree::Child::Node(c) = c {
-                if d.region(*c) == region {
-                    stack.push(*c);
-                } else {
-                    out.push((x, *c));
-                }
+        for c in tree.child_nodes(x) {
+            if d.region(c) == region {
+                stack.push(c);
+            } else {
+                out.push((x, c));
             }
         }
     }

@@ -6,6 +6,29 @@
 //! is immutable after construction and freely shared across evaluator
 //! threads.
 //!
+//! # Layout
+//!
+//! A tree is a handful of flat per-tree arrays, not a node per
+//! allocation:
+//!
+//! * `nodes` — production and parent link, one entry per node in arena
+//!   order (the order [`TreeBuilder`] created them: bottom-up, children
+//!   before parents);
+//! * `children` — every node's child positions back to back, in
+//!   compressed-sparse-row form: node `i`'s children are
+//!   `children[first[i]..first[i + 1]]`;
+//! * `tokens` — every token's lexical values back to back; a token child
+//!   names its range.
+//!
+//! Building a node appends to these arrays and allocates nothing of its
+//! own, and dropping a tree frees a few arrays instead of one child list
+//! and one value list per node. The layout does not change arena order:
+//! node ids, preorder, subtree hashes and therefore decompositions and
+//! memo keys are exactly those of a node-per-allocation tree built by
+//! the same calls. Readers see children through [`ParseTree::children`],
+//! [`ParseTree::child`] and [`ParseTree::child_nodes`], which yield
+//! [`Child`] views.
+//!
 //! Attribute *instances* (one per attribute of each node's symbol) are
 //! stored out-of-line, so several evaluations of the same tree can
 //! proceed independently. Two stores share one slot discipline (the
@@ -75,31 +98,51 @@ impl NodeId {
 /// A child position of a node: either a nested nonterminal node or the
 /// attribute values of a terminal token (predefined by the scanner, as in
 /// Knuth's extension used by the paper).
-#[derive(Debug, Clone)]
-pub enum Child<V> {
+#[derive(Debug)]
+pub enum Child<'a, V> {
     /// Nonterminal child.
     Node(NodeId),
     /// Terminal occurrence with its lexical attribute values (indexed by
     /// the terminal symbol's [`AttrId`]s).
-    Token(Arc<[V]>),
+    Token(&'a [V]),
 }
 
-/// A parse-tree node: an instance of a production.
-#[derive(Debug, Clone)]
-pub struct Node<V> {
+impl<V> Clone for Child<'_, V> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<V> Copy for Child<'_, V> {}
+
+/// A stored child position: a node id, or a token's range in the
+/// tree's value array.
+#[derive(Debug, Clone, Copy)]
+enum Slot {
+    Node(NodeId),
+    Token { start: u32, len: u32 },
+}
+
+/// A parse-tree node: an instance of a production. Its children are
+/// read through [`ParseTree::children`].
+#[derive(Debug, Clone, Copy)]
+pub struct Node {
     /// The production this node instantiates.
     pub prod: ProdId,
-    /// Children, aligned with the production's RHS occurrences.
-    pub children: Vec<Child<V>>,
     /// Parent node and this node's occurrence index there (1-based, as in
     /// [`crate::grammar::OccRef`]); `None` at the root.
     pub parent: Option<(NodeId, usize)>,
 }
 
-/// An immutable parse tree over a shared [`Grammar`].
+/// An immutable parse tree over a shared [`Grammar`] (layout: see the
+/// module docs).
 pub struct ParseTree<V> {
     grammar: Arc<Grammar<V>>,
-    nodes: Vec<Node<V>>,
+    nodes: Vec<Node>,
+    /// CSR offsets into `children`, one per node plus the end.
+    first: Vec<u32>,
+    children: Vec<Slot>,
+    tokens: Vec<V>,
     root: NodeId,
     subtree_size: Vec<u32>,
     subtree_hash: Vec<u64>,
@@ -108,6 +151,23 @@ pub struct ParseTree<V> {
     /// [`AttrValue::content_hash`].
     hash_exact: Vec<bool>,
     subtree_wire: Vec<u64>,
+}
+
+impl<V> ParseTree<V> {
+    #[inline]
+    fn slots(&self, id: NodeId) -> &[Slot] {
+        &self.children[self.first[id.idx()] as usize..self.first[id.idx() + 1] as usize]
+    }
+
+    #[inline]
+    fn view(&self, slot: Slot) -> Child<'_, V> {
+        match slot {
+            Slot::Node(c) => Child::Node(c),
+            Slot::Token { start, len } => {
+                Child::Token(&self.tokens[start as usize..(start + len) as usize])
+            }
+        }
+    }
 }
 
 impl<V: AttrValue> ParseTree<V> {
@@ -122,8 +182,34 @@ impl<V: AttrValue> ParseTree<V> {
     }
 
     /// Node metadata.
-    pub fn node(&self, id: NodeId) -> &Node<V> {
+    pub fn node(&self, id: NodeId) -> &Node {
         &self.nodes[id.idx()]
+    }
+
+    /// The children of `id`, aligned with its production's RHS
+    /// occurrences.
+    #[inline]
+    pub fn children(
+        &self,
+        id: NodeId,
+    ) -> impl DoubleEndedIterator<Item = Child<'_, V>> + ExactSizeIterator + '_ {
+        self.slots(id).iter().map(|&s| self.view(s))
+    }
+
+    /// The child at RHS occurrence `occ` (1-based), if there is one.
+    #[inline]
+    pub fn child(&self, id: NodeId, occ: usize) -> Option<Child<'_, V>> {
+        let slot = *self.slots(id).get(occ.wrapping_sub(1))?;
+        Some(self.view(slot))
+    }
+
+    /// The nonterminal children of `id`, left to right.
+    #[inline]
+    pub fn child_nodes(&self, id: NodeId) -> impl DoubleEndedIterator<Item = NodeId> + '_ {
+        self.slots(id).iter().filter_map(|s| match s {
+            Slot::Node(c) => Some(*c),
+            Slot::Token { .. } => None,
+        })
     }
 
     /// Total number of nodes.
@@ -156,8 +242,8 @@ impl<V: AttrValue> ParseTree<V> {
     /// The nonterminal child at RHS occurrence `occ` (1-based), if it is
     /// a node.
     pub fn child_node(&self, id: NodeId, occ: usize) -> Option<NodeId> {
-        match self.node(id).children.get(occ - 1)? {
-            Child::Node(c) => Some(*c),
+        match self.child(id, occ)? {
+            Child::Node(c) => Some(c),
             Child::Token(_) => None,
         }
     }
@@ -223,24 +309,50 @@ impl<'a, V: AttrValue> Iterator for SubtreeIter<'a, V> {
 
     fn next(&mut self) -> Option<NodeId> {
         let id = self.stack.pop()?;
-        let node = &self.tree.nodes[id.idx()];
         // Push children in reverse so they pop in order.
-        for c in node.children.iter().rev() {
-            if let Child::Node(n) = c {
-                self.stack.push(*n);
-            }
-        }
+        self.stack.extend(self.tree.child_nodes(id).rev());
         Some(id)
     }
 }
 
-/// A child specification handed to [`TreeBuilder::node`].
+/// A child specification handed to [`TreeBuilder::node_full`].
 #[derive(Debug)]
 pub enum ChildSpec<V> {
     /// A previously built node.
     Built(BuiltNode),
-    /// A terminal token with its lexical attribute values.
-    Token(Arc<[V]>),
+    /// A terminal token with its lexical values.
+    Token(TokenValues<V>),
+}
+
+/// A token's lexical values on their way into a tree's value array.
+/// Tokens carry at most one value in practice, so that case is held
+/// inline: building it allocates nothing.
+#[derive(Debug)]
+pub struct TokenValues<V>(TokenRepr<V>);
+
+#[derive(Debug)]
+enum TokenRepr<V> {
+    None,
+    One(V),
+    Many(Vec<V>),
+}
+
+impl<V> TokenValues<V> {
+    fn len(&self) -> usize {
+        match &self.0 {
+            TokenRepr::None => 0,
+            TokenRepr::One(_) => 1,
+            TokenRepr::Many(v) => v.len(),
+        }
+    }
+
+    fn append_to(self, out: &mut Vec<V>) {
+        match self.0 {
+            TokenRepr::None => {}
+            TokenRepr::One(v) => out.push(v),
+            TokenRepr::Many(v) => out.extend(v),
+        }
+    }
 }
 
 /// Opaque handle to a node under construction.
@@ -253,9 +365,20 @@ impl<V> From<BuiltNode> for ChildSpec<V> {
     }
 }
 
-/// Creates a token child with the given lexical values.
-pub fn token<V>(values: impl Into<Arc<[V]>>) -> ChildSpec<V> {
-    ChildSpec::Token(values.into())
+/// Creates a token child with the given lexical values — an array, a
+/// `Vec` or any iterator. A single value is held inline.
+pub fn token<V>(values: impl IntoIterator<Item = V>) -> ChildSpec<V> {
+    let mut it = values.into_iter();
+    let repr = match (it.next(), it.next()) {
+        (None, _) => TokenRepr::None,
+        (Some(a), None) => TokenRepr::One(a),
+        (Some(a), Some(b)) => {
+            let mut all = vec![a, b];
+            all.extend(it);
+            TokenRepr::Many(all)
+        }
+    };
+    ChildSpec::Token(TokenValues(repr))
 }
 
 /// Errors detected while building a tree.
@@ -324,10 +447,14 @@ impl fmt::Display for TreeError {
 
 impl std::error::Error for TreeError {}
 
-/// Builds [`ParseTree`]s bottom-up (the natural order for an LR parser).
+/// Builds [`ParseTree`]s bottom-up (the natural order for an LR parser),
+/// appending to the tree's flat arrays (see the module docs).
 pub struct TreeBuilder<V> {
     grammar: Arc<Grammar<V>>,
-    nodes: Vec<Node<V>>,
+    nodes: Vec<Node>,
+    first: Vec<u32>,
+    children: Vec<Slot>,
+    tokens: Vec<V>,
     used: Vec<bool>,
     error: Option<TreeError>,
 }
@@ -338,6 +465,9 @@ impl<V: AttrValue> TreeBuilder<V> {
         TreeBuilder {
             grammar: Arc::clone(grammar),
             nodes: Vec::new(),
+            first: vec![0],
+            children: Vec::new(),
+            tokens: Vec::new(),
             used: Vec::new(),
             error: None,
         }
@@ -350,41 +480,34 @@ impl<V: AttrValue> TreeBuilder<V> {
         prod: ProdId,
         children: impl IntoIterator<Item = BuiltNode>,
     ) -> BuiltNode {
-        self.node_full(
-            prod,
-            children
-                .into_iter()
-                .map(ChildSpec::from)
-                .collect::<Vec<_>>(),
-        )
+        self.node_full(prod, children.into_iter().map(ChildSpec::from))
     }
 
     /// Builds a leaf node (nullary production).
     pub fn leaf(&mut self, prod: ProdId) -> BuiltNode {
-        self.node_full(prod, Vec::new())
+        self.node_full(prod, [])
     }
 
     /// Builds a node with explicit child specifications (nodes and
-    /// tokens). Errors are recorded and reported by
-    /// [`TreeBuilder::finish`].
-    pub fn node_full(&mut self, prod: ProdId, children: Vec<ChildSpec<V>>) -> BuiltNode {
+    /// tokens) — an array, a `Vec` or any iterator. Errors are recorded
+    /// and reported by [`TreeBuilder::finish`].
+    pub fn node_full(
+        &mut self,
+        prod: ProdId,
+        children: impl IntoIterator<Item = ChildSpec<V>>,
+    ) -> BuiltNode {
         let id = NodeId(self.nodes.len() as u32);
         let grammar = Arc::clone(&self.grammar);
         let p = grammar.prod(prod);
-        if children.len() != p.rhs.len() {
-            self.record(TreeError::Arity {
-                prod: p.name.clone(),
-                expected: p.rhs.len(),
-                got: children.len(),
-            });
-        }
-        let mut kids = Vec::with_capacity(children.len());
+        let had_error = self.error.is_some();
+        let mut count = 0;
         for (i, spec) in children.into_iter().enumerate() {
+            count += 1;
             let expected = p.rhs.get(i).copied();
             match spec {
                 ChildSpec::Built(BuiltNode(cid)) => {
                     if let Some(exp) = expected {
-                        let child_sym = self.grammar.prod(self.nodes[cid.idx()].prod).lhs;
+                        let child_sym = grammar.prod(self.nodes[cid.idx()].prod).lhs;
                         if child_sym != exp {
                             self.record(TreeError::SymbolMismatch {
                                 prod: p.name.clone(),
@@ -397,11 +520,11 @@ impl<V: AttrValue> TreeBuilder<V> {
                     }
                     self.used[cid.idx()] = true;
                     self.nodes[cid.idx()].parent = Some((id, i + 1));
-                    kids.push(Child::Node(cid));
+                    self.children.push(Slot::Node(cid));
                 }
                 ChildSpec::Token(vals) => {
                     if let Some(exp) = expected {
-                        let sym = self.grammar.symbol(exp);
+                        let sym = grammar.symbol(exp);
                         if !sym.terminal {
                             self.record(TreeError::SymbolMismatch {
                                 prod: p.name.clone(),
@@ -414,15 +537,23 @@ impl<V: AttrValue> TreeBuilder<V> {
                             });
                         }
                     }
-                    kids.push(Child::Token(vals));
+                    let start = self.tokens.len() as u32;
+                    let len = vals.len() as u32;
+                    vals.append_to(&mut self.tokens);
+                    self.children.push(Slot::Token { start, len });
                 }
             }
         }
-        self.nodes.push(Node {
-            prod,
-            children: kids,
-            parent: None,
-        });
+        if count != p.rhs.len() && !had_error {
+            // An arity error outranks the node's per-child errors.
+            self.error = Some(TreeError::Arity {
+                prod: p.name.clone(),
+                expected: p.rhs.len(),
+                got: count,
+            });
+        }
+        self.nodes.push(Node { prod, parent: None });
+        self.first.push(self.children.len() as u32);
         self.used.push(false);
         BuiltNode(id)
     }
@@ -464,34 +595,42 @@ impl<V: AttrValue> TreeBuilder<V> {
         if dangling > 0 {
             return Err(TreeError::Dangling { count: dangling });
         }
-        // Subtree sizes: children have higher arena indices than parents
-        // is NOT guaranteed (bottom-up build means children have *lower*
-        // ids), so accumulate children-first by arena order ascending —
-        // a child's size is final before its parent is processed only if
-        // child id < parent id, which bottom-up construction guarantees.
-        let mut size = vec![1u32; self.nodes.len()];
-        let mut hash = vec![0u64; self.nodes.len()];
-        let mut exact = vec![true; self.nodes.len()];
-        let mut wire = vec![0u64; self.nodes.len()];
-        for i in 0..self.nodes.len() {
+        let n = self.nodes.len();
+        let mut tree = ParseTree {
+            grammar: self.grammar,
+            nodes: self.nodes,
+            first: self.first,
+            children: self.children,
+            tokens: self.tokens,
+            root,
+            subtree_size: vec![1u32; n],
+            subtree_hash: vec![0u64; n],
+            hash_exact: vec![true; n],
+            subtree_wire: vec![0u64; n],
+        };
+        // Subtree sizes, hashes and wire sizes in one pass over arena
+        // order: bottom-up construction gives every child a lower id
+        // than its parent, so a child's figures are final before its
+        // parent is processed.
+        for i in 0..n {
             let mut s = 1;
             // Seed with the production id; it determines the RHS shape,
             // so combining child/token hashes positionally after it is
             // injective over well-formed trees (up to hash collisions).
-            let mut h = fnv1a_u64(0xcbf2_9ce4_8422_2325, self.nodes[i].prod.0 as u64);
+            let mut h = fnv1a_u64(0xcbf2_9ce4_8422_2325, tree.nodes[i].prod.0 as u64);
             let mut ok = true;
             let mut w = 8u64;
-            for c in &self.nodes[i].children {
+            for c in tree.children(NodeId(i as u32)) {
                 match c {
                     Child::Node(cid) => {
                         debug_assert!(cid.idx() < i, "bottom-up build order violated");
-                        s += size[cid.idx()];
-                        h = fnv1a_u64(h, hash[cid.idx()]);
-                        ok &= exact[cid.idx()];
-                        w += wire[cid.idx()];
+                        s += tree.subtree_size[cid.idx()];
+                        h = fnv1a_u64(h, tree.subtree_hash[cid.idx()]);
+                        ok &= tree.hash_exact[cid.idx()];
+                        w += tree.subtree_wire[cid.idx()];
                     }
                     Child::Token(vals) => {
-                        for v in vals.iter() {
+                        for v in vals {
                             match v.content_hash() {
                                 Some(vh) => h = fnv1a_u64(h, vh),
                                 None => ok = false,
@@ -501,20 +640,12 @@ impl<V: AttrValue> TreeBuilder<V> {
                     }
                 }
             }
-            size[i] = s;
-            hash[i] = h;
-            exact[i] = ok;
-            wire[i] = w;
+            tree.subtree_size[i] = s;
+            tree.subtree_hash[i] = h;
+            tree.hash_exact[i] = ok;
+            tree.subtree_wire[i] = w;
         }
-        Ok(ParseTree {
-            grammar: self.grammar,
-            nodes: self.nodes,
-            root,
-            subtree_size: size,
-            subtree_hash: hash,
-            hash_exact: exact,
-            subtree_wire: wire,
-        })
+        Ok(tree)
     }
 }
 
@@ -911,8 +1042,8 @@ pub fn occ_value<'a, V: AttrValue, S: AttrSlots<V>>(
     if occ == 0 {
         store.get(node, attr)
     } else {
-        match &tree.node(node).children[occ - 1] {
-            Child::Node(c) => store.get(*c, attr),
+        match tree.child(node, occ)? {
+            Child::Node(c) => store.get(c, attr),
             Child::Token(vals) => vals.get(attr.0 as usize),
         }
     }
@@ -930,9 +1061,9 @@ pub fn occ_slot<V: AttrValue>(
     if occ == 0 {
         (node, attr)
     } else {
-        match &tree.node(node).children[occ - 1] {
-            Child::Node(c) => (*c, attr),
-            Child::Token(_) => unreachable!("rule target cannot be a token occurrence"),
+        match tree.child(node, occ) {
+            Some(Child::Node(c)) => (c, attr),
+            _ => unreachable!("rule target must be a child node occurrence"),
         }
     }
 }
@@ -984,6 +1115,42 @@ mod tests {
         // Parent links.
         let c1 = tree.child_node(tree.root(), 1).unwrap();
         assert_eq!(tree.node(c1).parent, Some((tree.root(), 1)));
+    }
+
+    #[test]
+    fn children_and_tokens_read_back_from_the_flat_arrays() {
+        let mut g = GrammarBuilder::<i64>::new();
+        let t = g.nonterminal("T");
+        let pair = g.terminal("pair");
+        let lo = g.synthesized(pair, "lo");
+        let hi = g.synthesized(pair, "hi");
+        let bare = g.terminal("bare");
+        let size = g.synthesized(t, "size");
+        let leaf = g.production("leaf", t, [pair]);
+        g.rule(leaf, (0, size), [(1, lo), (1, hi)], |a| a[1] - a[0]);
+        let fork = g.production("fork", t, [t, bare, t]);
+        g.rule(fork, (0, size), [(1, size), (3, size)], |a| a[0] + a[1]);
+        let g = Arc::new(g.build(t).unwrap());
+        let mut tb = TreeBuilder::new(&g);
+        let l1 = tb.node_full(leaf, [token([1i64, 4])]);
+        let l2 = tb.node_full(leaf, [token(vec![10i64, 30])]);
+        let root = tb.node_full(fork, [l1.into(), token([]), l2.into()]);
+        let tree = tb.finish(root).unwrap();
+        let r = tree.root();
+        assert_eq!(tree.children(r).len(), 3);
+        assert!(matches!(tree.child(r, 2), Some(Child::Token(&[]))));
+        assert_eq!(tree.child(r, 4).map(|_| ()), None);
+        assert_eq!(tree.child(r, 0).map(|_| ()), None);
+        let kids: Vec<NodeId> = tree.child_nodes(r).collect();
+        assert_eq!(kids, [NodeId(0), NodeId(1)]);
+        assert!(matches!(
+            tree.child(kids[1], 1),
+            Some(Child::Token(&[10, 30]))
+        ));
+        assert_eq!(tree.node(kids[1]).parent, Some((r, 3)));
+        let plans = crate::analysis::compute_plans(&g).unwrap();
+        let (store, _) = crate::eval::static_eval(&tree, &plans).unwrap();
+        assert_eq!(store.get(r, size), Some(&(3 + 20)));
     }
 
     #[test]

@@ -70,12 +70,24 @@ pub trait AttrValue: Clone + Default + Send + Sync + fmt::Debug + 'static {
 
 /// FNV-1a over a byte slice — the workhorse for `content_hash` impls.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    fnv1a_extend(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Extends an FNV-1a state with more bytes: hashing a text in pieces
+/// gives the same value as [`fnv1a`] over the whole, whatever the cuts.
+pub fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// FNV-1a over a rope's text, streamed across its leaves, so equal
+/// text hashes equally however it is cut into leaves.
+pub fn fnv1a_rope(r: &Rope) -> u64 {
+    r.chunks()
+        .fold(fnv1a(&[]), |h, chunk| fnv1a_extend(h, chunk.as_bytes()))
 }
 
 /// Extends an FNV-1a state with one 64-bit word (for combining child
@@ -278,9 +290,7 @@ impl AttrValue for Value {
                 if r.has_segments() {
                     return None;
                 }
-                for chunk in r.chunks() {
-                    h = fnv1a_u64(h, fnv1a(chunk.as_bytes()));
-                }
+                h = fnv1a_u64(h, fnv1a_rope(r));
             }
             Value::Tab(t) => {
                 // Iteration order is determined by the table's build

@@ -158,6 +158,41 @@ pub struct RequestTimes {
     pub assembled: Option<Instant>,
 }
 
+/// The milestones of every admitted request, indexed by request id
+/// (ids are dense from 0). A service keeps them for its caller after
+/// completion, so they grow by one record per request: fixed-size
+/// blocks make that growth linear, where one `Vec` would copy its
+/// whole contents, and briefly hold them twice, at every doubling.
+#[derive(Default)]
+struct TimesLog {
+    blocks: Vec<Vec<RequestTimes>>,
+}
+
+/// Records per [`TimesLog`] block (64 B each).
+const TIMES_BLOCK: usize = 4096;
+
+impl TimesLog {
+    fn push(&mut self, id: u64, times: RequestTimes) {
+        if self.blocks.last().is_none_or(|b| b.len() == TIMES_BLOCK) {
+            self.blocks.push(Vec::with_capacity(TIMES_BLOCK));
+        }
+        let full = (self.blocks.len() - 1) * TIMES_BLOCK;
+        let block = self.blocks.last_mut().expect("just ensured");
+        debug_assert_eq!(full + block.len(), id as usize, "ids are dense");
+        block.push(times);
+    }
+
+    fn get(&self, id: u64) -> Option<&RequestTimes> {
+        let id = usize::try_from(id).ok()?;
+        self.blocks.get(id / TIMES_BLOCK)?.get(id % TIMES_BLOCK)
+    }
+
+    fn get_mut(&mut self, id: u64) -> &mut RequestTimes {
+        let id = id as usize;
+        &mut self.blocks[id / TIMES_BLOCK][id % TIMES_BLOCK]
+    }
+}
+
 impl RequestTimes {
     /// Enqueue-to-assembled latency, if the request completed.
     pub fn latency(&self) -> Option<std::time::Duration> {
@@ -247,7 +282,7 @@ pub struct ServiceQueue<V: AttrValue> {
     /// request id. Kept through dispatch so a failed ticket can be
     /// re-dispatched.
     trees: HashMap<u64, Arc<ParseTree<V>>>,
-    /// Tenants of admitted requests, by request id.
+    /// Tenants of live requests, by request id.
     tenants: HashMap<u64, u32>,
     /// Plan work estimates of live requests, by request id.
     work: HashMap<u64, u64>,
@@ -264,7 +299,8 @@ pub struct ServiceQueue<V: AttrValue> {
     dispatched: VecDeque<u64>,
     completed: VecDeque<ServiceOutput<V>>,
     failed: VecDeque<FailedRequest>,
-    times: HashMap<u64, RequestTimes>,
+    /// Milestones of every admitted request, kept for the caller.
+    times: TimesLog,
     capacity: usize,
     next_id: u64,
     /// Sum of `work` over requests waiting for dispatch.
@@ -317,7 +353,7 @@ impl<V: AttrValue> ServiceQueue<V> {
             dispatched: VecDeque::new(),
             completed: VecDeque::new(),
             failed: VecDeque::new(),
-            times: HashMap::new(),
+            times: TimesLog::default(),
             capacity: service.capacity.max(1),
             next_id: 0,
             queued_work: 0,
@@ -367,7 +403,7 @@ impl<V: AttrValue> ServiceQueue<V> {
 
     /// Milestones of request `id` (admitted requests only).
     pub fn times(&self, id: u64) -> Option<&RequestTimes> {
-        self.times.get(&id)
+        self.times.get(id)
     }
 
     /// Offers one request with the configured default deadline. Never
@@ -423,7 +459,7 @@ impl<V: AttrValue> ServiceQueue<V> {
         if let Some(d) = deadline {
             self.deadlines.insert(id, now + d);
         }
-        self.times.insert(
+        self.times.push(
             id,
             RequestTimes {
                 enqueued: now,
@@ -473,7 +509,7 @@ impl<V: AttrValue> ServiceQueue<V> {
             // The window has room, so submit dispatches without
             // blocking on retirement.
             self.pool.submit(&tree);
-            self.times.get_mut(&job.seq).expect("admitted").dispatched = Some(Instant::now());
+            self.times.get_mut(job.seq).dispatched = Some(Instant::now());
             self.in_service_work += job.work;
             self.dispatched.push_back(job.seq);
         }
@@ -543,7 +579,7 @@ impl<V: AttrValue> ServiceQueue<V> {
             .dispatched
             .pop_front()
             .expect("results match dispatched requests FIFO");
-        self.times.get_mut(&id).expect("admitted").assembled = Some(Instant::now());
+        self.times.get_mut(id).assembled = Some(Instant::now());
         let tenant = self.tenants[&id];
         self.in_service_work = self
             .in_service_work
@@ -598,6 +634,7 @@ impl<V: AttrValue> ServiceQueue<V> {
     /// caller).
     fn forget(&mut self, id: u64) {
         self.trees.remove(&id);
+        self.tenants.remove(&id);
         self.work.remove(&id);
         self.deadlines.remove(&id);
         self.retries.remove(&id);

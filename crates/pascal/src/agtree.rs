@@ -32,71 +32,62 @@ pub fn build_tree(pg: &PascalGrammar, ast: &Program) -> Result<Arc<ParseTree<PVa
     };
     let decls = c.decls(&ast.decls);
     let stmts = c.stmts(&ast.body);
-    let root = c.tb.node_full(
-        pg.p_prog,
-        vec![id_tok(&ast.name), decls.into(), stmts.into()],
-    );
+    let root =
+        c.tb.node_full(pg.p_prog, [id_tok(&ast.name), decls.into(), stmts.into()]);
     c.tb.finish(root).map(Arc::new)
 }
 
 fn id_tok(name: &str) -> ChildSpec<PVal> {
-    token(vec![PVal::Str(Arc::from(name))])
+    token([PVal::Str(Arc::from(name))])
 }
 
 fn num_tok(v: i64) -> ChildSpec<PVal> {
-    token(vec![PVal::Int(v)])
+    token([PVal::Int(v)])
 }
 
 fn str_tok(s: &str) -> ChildSpec<PVal> {
-    token(vec![PVal::Str(Arc::from(s))])
+    token([PVal::Str(Arc::from(s))])
 }
 
 impl<'g> Conv<'g> {
     fn uid(&mut self) -> ChildSpec<PVal> {
         let id = self.next_uid;
         self.next_uid += 1;
-        token(vec![PVal::Int(id)])
+        token([PVal::Int(id)])
     }
 
     fn decls(&mut self, ds: &[Decl]) -> BuiltNode {
         // Flatten multi-name var declarations into one node per name
         // and build the list right-to-left.
-        let mut flat: Vec<&Decl> = Vec::new();
-        let mut singles: Vec<Decl> = Vec::new();
-        for d in ds {
-            if let Decl::Var { names, ty } = d {
-                for n in names {
-                    singles.push(Decl::Var {
-                        names: vec![n.clone()],
-                        ty: ty.clone(),
-                    });
-                }
-            } else {
-                singles.push(d.clone());
-            }
-        }
-        flat.extend(singles.iter());
         let mut tail = self.tb.leaf(self.pg.p_decls_nil);
-        for d in flat.into_iter().rev() {
-            let node = self.decl(d);
-            tail = self.tb.node(self.pg.p_decls_cons, [node, tail]);
+        for d in ds.iter().rev() {
+            let names = match d {
+                Decl::Var { names, .. } => names.len(),
+                _ => 1,
+            };
+            for name in (0..names).rev() {
+                let node = self.decl(d, name);
+                tail = self.tb.node(self.pg.p_decls_cons, [node, tail]);
+            }
         }
         tail
     }
 
-    fn decl(&mut self, d: &Decl) -> BuiltNode {
+    /// The node of declaration `d`; for a var declaration, the one of
+    /// its `name`-th name.
+    fn decl(&mut self, d: &Decl, name: usize) -> BuiltNode {
         match d {
             Decl::Const { name, value } => self
                 .tb
-                .node_full(self.pg.p_const, vec![id_tok(name), num_tok(*value)]),
+                .node_full(self.pg.p_const, [id_tok(name), num_tok(*value)]),
             Decl::Var { names, ty } => {
-                let name = &names[0];
+                let name = &names[name];
                 match ty {
-                    TypeExpr::Integer => self.tb.node_full(self.pg.p_var_int, vec![id_tok(name)]),
-                    TypeExpr::Boolean => self.tb.node_full(self.pg.p_var_bool, vec![id_tok(name)]),
+                    TypeExpr::Integer => self.tb.node_full(self.pg.p_var_int, [id_tok(name)]),
+                    TypeExpr::Boolean => self.tb.node_full(self.pg.p_var_bool, [id_tok(name)]),
                     TypeExpr::Array { lo, hi } => self.tb.node_full(
                         self.pg.p_var_arr,
-                        vec![id_tok(name), num_tok(*lo), num_tok(*hi)],
+                        [id_tok(name), num_tok(*lo), num_tok(*hi)],
                     ),
                 }
             }
@@ -114,7 +105,7 @@ impl<'g> Conv<'g> {
                 match result {
                     None => self.tb.node_full(
                         self.pg.p_proc,
-                        vec![id_tok(name), uid, ps.into(), ds.into(), ss.into()],
+                        [id_tok(name), uid, ps.into(), ds.into(), ss.into()],
                     ),
                     Some(rt) => {
                         let tyk = num_tok(match rt {
@@ -123,7 +114,7 @@ impl<'g> Conv<'g> {
                         });
                         self.tb.node_full(
                             self.pg.p_func,
-                            vec![id_tok(name), uid, tyk, ps.into(), ds.into(), ss.into()],
+                            [id_tok(name), uid, tyk, ps.into(), ds.into(), ss.into()],
                         )
                     }
                 }
@@ -140,7 +131,7 @@ impl<'g> Conv<'g> {
                 (_, false) => self.pg.p_param_val_int,
                 (_, true) => self.pg.p_param_ref_int,
             };
-            let node = self.tb.node_full(prod, vec![id_tok(&p.name)]);
+            let node = self.tb.node_full(prod, [id_tok(&p.name)]);
             tail = self.tb.node(self.pg.p_params_cons, [node, tail]);
         }
         tail
@@ -161,31 +152,29 @@ impl<'g> Conv<'g> {
                 LValue::Name(name) => {
                     let v = self.expr(value);
                     self.tb
-                        .node_full(self.pg.p_assign, vec![id_tok(name), v.into()])
+                        .node_full(self.pg.p_assign, [id_tok(name), v.into()])
                 }
                 LValue::Index { name, index } => {
                     let i = self.expr(index);
                     let v = self.expr(value);
                     self.tb
-                        .node_full(self.pg.p_assign_idx, vec![id_tok(name), i.into(), v.into()])
+                        .node_full(self.pg.p_assign_idx, [id_tok(name), i.into(), v.into()])
                 }
             },
             Stmt::Call { name, args } => {
                 let a = self.args(args);
-                self.tb
-                    .node_full(self.pg.p_call, vec![id_tok(name), a.into()])
+                self.tb.node_full(self.pg.p_call, [id_tok(name), a.into()])
             }
             Stmt::If { cond, then, els } => {
                 let uid = self.uid();
                 let c = self.expr(cond);
                 let t = self.stmts(then);
                 if els.is_empty() {
-                    self.tb
-                        .node_full(self.pg.p_if, vec![uid, c.into(), t.into()])
+                    self.tb.node_full(self.pg.p_if, [uid, c.into(), t.into()])
                 } else {
                     let e = self.stmts(els);
                     self.tb
-                        .node_full(self.pg.p_ifelse, vec![uid, c.into(), t.into(), e.into()])
+                        .node_full(self.pg.p_ifelse, [uid, c.into(), t.into(), e.into()])
                 }
             }
             Stmt::While { cond, body } => {
@@ -193,7 +182,7 @@ impl<'g> Conv<'g> {
                 let c = self.expr(cond);
                 let b = self.stmts(body);
                 self.tb
-                    .node_full(self.pg.p_while, vec![uid, c.into(), b.into()])
+                    .node_full(self.pg.p_while, [uid, c.into(), b.into()])
             }
             Stmt::Write { args } => {
                 let w = self.wargs(args);
@@ -218,11 +207,11 @@ impl<'g> Conv<'g> {
                 WriteArg::Expr(e) => {
                     let x = self.expr(e);
                     self.tb
-                        .node_full(self.pg.p_wargs_expr, vec![x.into(), tail.into()])
+                        .node_full(self.pg.p_wargs_expr, [x.into(), tail.into()])
                 }
                 WriteArg::Str(s) => self
                     .tb
-                    .node_full(self.pg.p_wargs_str, vec![str_tok(s), tail.into()]),
+                    .node_full(self.pg.p_wargs_str, [str_tok(s), tail.into()]),
             };
         }
         tail
@@ -234,26 +223,24 @@ impl<'g> Conv<'g> {
             let x = self.expr(e);
             tail = self
                 .tb
-                .node_full(self.pg.p_args_cons, vec![x.into(), tail.into()]);
+                .node_full(self.pg.p_args_cons, [x.into(), tail.into()]);
         }
         tail
     }
 
     fn expr(&mut self, e: &Expr) -> BuiltNode {
         match e {
-            Expr::Num(n) => self.tb.node_full(self.pg.p_num, vec![num_tok(*n)]),
+            Expr::Num(n) => self.tb.node_full(self.pg.p_num, [num_tok(*n)]),
             Expr::Bool(true) => self.tb.leaf(self.pg.p_true),
             Expr::Bool(false) => self.tb.leaf(self.pg.p_false),
-            Expr::Name(n) => self.tb.node_full(self.pg.p_name, vec![id_tok(n)]),
+            Expr::Name(n) => self.tb.node_full(self.pg.p_name, [id_tok(n)]),
             Expr::Index { name, index } => {
                 let i = self.expr(index);
-                self.tb
-                    .node_full(self.pg.p_index, vec![id_tok(name), i.into()])
+                self.tb.node_full(self.pg.p_index, [id_tok(name), i.into()])
             }
             Expr::Call { name, args } => {
                 let a = self.args(args);
-                self.tb
-                    .node_full(self.pg.p_fcall, vec![id_tok(name), a.into()])
+                self.tb.node_full(self.pg.p_fcall, [id_tok(name), a.into()])
             }
             Expr::Bin { op, lhs, rhs } => {
                 let l = self.expr(lhs);
@@ -315,9 +302,8 @@ mod tests {
         // Collect uid token values: every t_uid token in the tree.
         let mut uids = Vec::new();
         for id in tree.node_ids() {
-            let node = tree.node(id);
-            let prod = tree.grammar().prod(node.prod);
-            for (i, c) in node.children.iter().enumerate() {
+            let prod = tree.grammar().prod(tree.node(id).prod);
+            for (i, c) in tree.children(id).enumerate() {
                 if let paragram_core::tree::Child::Token(vals) = c {
                     if prod.rhs[i] == pg.t_uid {
                         uids.push(vals[0].int());

@@ -744,7 +744,7 @@ pub fn build_with(priority: bool) -> PascalGrammar {
                     None => errs.push(format!("cannot assign to {name:?} ({})", e.describe())),
                 },
             }
-            PVal::Errs(Arc::new(errs))
+            PVal::errs(errs)
         },
     );
 
@@ -805,7 +805,7 @@ pub fn build_with(priority: bool) -> PascalGrammar {
             }
             cg::expect_int("array index", a[2].ty(), &mut errs);
             cg::expect_int("array element value", a[3].ty(), &mut errs);
-            PVal::Errs(Arc::new(errs))
+            PVal::errs(errs)
         },
     );
 
@@ -875,7 +875,7 @@ pub fn build_with(priority: bool) -> PascalGrammar {
                 Some(e) => errs.push(format!("{name:?} is {}, not a procedure", e.describe())),
                 None => errs.push(format!("call to undeclared procedure {name:?}")),
             }
-            PVal::Errs(Arc::new(errs))
+            PVal::errs(errs)
         },
     );
 
@@ -952,7 +952,7 @@ pub fn build_with(priority: bool) -> PascalGrammar {
             let mut errs: Vec<String> = a[1].as_errs().to_vec();
             cg::expect_bool("if condition", a[0].ty(), &mut errs);
             errs.extend(a[2].as_errs().iter().cloned());
-            PVal::Errs(Arc::new(errs))
+            PVal::errs(errs)
         },
     );
     g.rule_direct(
@@ -969,7 +969,7 @@ pub fn build_with(priority: bool) -> PascalGrammar {
             cg::expect_bool("if condition", a[0].ty(), &mut errs);
             errs.extend(a[2].as_errs().iter().cloned());
             errs.extend(a[3].as_errs().iter().cloned());
-            PVal::Errs(Arc::new(errs))
+            PVal::errs(errs)
         },
     );
     g.rule_direct(
@@ -980,7 +980,7 @@ pub fn build_with(priority: bool) -> PascalGrammar {
             let mut errs: Vec<String> = a[1].as_errs().to_vec();
             cg::expect_bool("while condition", a[0].ty(), &mut errs);
             errs.extend(a[2].as_errs().iter().cloned());
-            PVal::Errs(Arc::new(errs))
+            PVal::errs(errs)
         },
     );
 
@@ -1130,7 +1130,7 @@ pub fn build_with(priority: bool) -> PascalGrammar {
                 }
             }
             errs.extend(a[4].as_errs().iter().cloned());
-            PVal::Errs(Arc::new(errs))
+            PVal::errs(errs)
         },
     );
     let p_args_nil = g.production("args_nil", args, []);
@@ -1326,7 +1326,7 @@ pub fn build_with(priority: bool) -> PascalGrammar {
                 None => errs.push(format!("undeclared array {name:?}")),
             }
             cg::expect_int("array index", a[2].ty(), &mut errs);
-            PVal::Errs(Arc::new(errs))
+            PVal::errs(errs)
         },
     );
 
@@ -1408,7 +1408,7 @@ pub fn build_with(priority: bool) -> PascalGrammar {
                 Some(e) => errs.push(format!("{name:?} is {}, not a function", e.describe())),
                 None => errs.push(format!("call to undeclared function {name:?}")),
             }
-            PVal::Errs(Arc::new(errs))
+            PVal::errs(errs)
         },
     );
 
@@ -1489,7 +1489,7 @@ pub fn build_with(priority: bool) -> PascalGrammar {
                         errs.push(format!("right operand must be {operand}, found {rt}"));
                     }
                 }
-                PVal::Errs(Arc::new(errs))
+                PVal::errs(errs)
             },
         );
     }
@@ -1534,7 +1534,7 @@ pub fn build_with(priority: bool) -> PascalGrammar {
         |a| {
             let mut errs: Vec<String> = a[1].as_errs().to_vec();
             cg::expect_int("negation operand", a[0].ty(), &mut errs);
-            PVal::Errs(Arc::new(errs))
+            PVal::errs(errs)
         },
     );
     g.rule_with_cost_direct(
@@ -1556,7 +1556,7 @@ pub fn build_with(priority: bool) -> PascalGrammar {
         |a| {
             let mut errs: Vec<String> = a[1].as_errs().to_vec();
             cg::expect_bool("not operand", a[0].ty(), &mut errs);
-            PVal::Errs(Arc::new(errs))
+            PVal::errs(errs)
         },
     );
 

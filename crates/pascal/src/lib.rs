@@ -39,7 +39,7 @@ pub mod parser;
 pub mod pval;
 
 pub use grammar::PascalGrammar;
-pub use pval::PVal;
+pub use pval::{ErrList, PVal};
 
 use paragram_core::eval::{dynamic_eval, static_eval, EvalError, Evaluators};
 use paragram_core::grammar::AttrId;
@@ -275,14 +275,12 @@ pub fn tree_wire_size(tree: &ParseTree<PVal>) -> usize {
     tree.node_ids()
         .map(|n| {
             8 + tree
-                .node(n)
-                .children
-                .iter()
+                .children(n)
                 .map(|c| match c {
                     paragram_core::tree::Child::Token(vals) => {
                         vals.iter().map(|v| v.wire_size()).sum()
                     }
-                    _ => 0usize,
+                    paragram_core::tree::Child::Node(_) => 0usize,
                 })
                 .sum::<usize>()
         })

@@ -1,7 +1,7 @@
 //! The Pascal compiler's attribute-value domain.
 
 use crate::env::{Entry, Env, ParamSig, Ty};
-use paragram_core::value::{fnv1a, fnv1a_u64, AttrValue};
+use paragram_core::value::{fnv1a, fnv1a_rope, fnv1a_u64, AttrValue};
 use paragram_rope::Rope;
 use std::fmt;
 use std::sync::Arc;
@@ -23,29 +23,37 @@ pub enum PVal {
     /// Generated code.
     Code(Rope),
     /// Semantic-error messages.
-    Errs(Arc<Vec<String>>),
+    Errs(ErrList),
     /// Parameter signatures (synthesized by formal-parameter lists).
     Sig(Arc<Vec<ParamSig>>),
 }
 
 impl PVal {
-    /// Empty error list.
+    /// Empty error list (allocates nothing).
     pub fn no_errs() -> PVal {
-        PVal::Errs(Arc::new(Vec::new()))
+        PVal::Errs(ErrList::default())
     }
 
     /// Single-message error list.
     pub fn err(msg: impl Into<String>) -> PVal {
-        PVal::Errs(Arc::new(vec![msg.into()]))
+        PVal::errs(vec![msg.into()])
     }
 
-    /// Concatenates any number of error lists.
+    /// An error list holding `msgs` (allocates nothing when empty).
+    pub fn errs(msgs: Vec<String>) -> PVal {
+        PVal::Errs(ErrList((!msgs.is_empty()).then(|| Arc::new(msgs))))
+    }
+
+    /// Concatenates any number of error lists. When at most one part is
+    /// non-empty, that part is shared (or the empty list returned), so
+    /// the common error-free case allocates nothing.
     pub fn errs_concat(parts: &[&PVal]) -> PVal {
-        let mut out: Vec<String> = Vec::new();
-        for p in parts {
-            out.extend(p.as_errs().iter().cloned());
+        let mut non_empty = parts.iter().filter(|p| !p.as_errs().is_empty());
+        match (non_empty.next(), non_empty.next()) {
+            (None, _) => PVal::no_errs(),
+            (Some(PVal::Errs(only)), None) => PVal::Errs(only.clone()),
+            _ => PVal::errs(parts.iter().flat_map(|p| p.as_errs()).cloned().collect()),
         }
-        PVal::Errs(Arc::new(out))
     }
 
     /// The integer inside (panics on other variants — semantic rules
@@ -92,7 +100,7 @@ impl PVal {
     /// The error list inside (empty for `Unit`).
     pub fn as_errs(&self) -> &[String] {
         match self {
-            PVal::Errs(e) => e,
+            PVal::Errs(e) => e.as_slice(),
             PVal::Unit => &[],
             other => panic!("expected Errs, got {other:?}"),
         }
@@ -104,6 +112,39 @@ impl PVal {
             PVal::Sig(s) => s,
             other => panic!("expected Sig, got {other:?}"),
         }
+    }
+}
+
+/// A list of semantic-error messages. Most subtrees are error-free, so
+/// the empty list is the common value: it is represented without an
+/// allocation, and concatenations that add nothing share their input.
+#[derive(Clone, Default)]
+pub struct ErrList(Option<Arc<Vec<String>>>);
+
+impl ErrList {
+    /// The messages, in order.
+    pub fn as_slice(&self) -> &[String] {
+        self.0.as_deref().map_or(&[], Vec::as_slice)
+    }
+}
+
+impl std::ops::Deref for ErrList {
+    type Target = [String];
+
+    fn deref(&self) -> &[String] {
+        self.as_slice()
+    }
+}
+
+impl PartialEq for ErrList {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl fmt::Debug for ErrList {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.as_slice().fmt(f)
     }
 }
 
@@ -195,9 +236,7 @@ impl AttrValue for PVal {
                 if c.has_segments() {
                     return None;
                 }
-                for chunk in c.chunks() {
-                    h = fnv1a_u64(h, fnv1a(chunk.as_bytes()));
-                }
+                h = fnv1a_u64(h, fnv1a_rope(c));
             }
             PVal::Errs(e) => {
                 for msg in e.iter() {
@@ -306,6 +345,55 @@ mod tests {
         let c = PVal::err("two");
         let all = PVal::errs_concat(&[&a, &b, &c]);
         assert_eq!(all.as_errs(), &["one".to_string(), "two".to_string()]);
+    }
+
+    #[test]
+    fn empty_error_lists_allocate_nothing_and_concat_shares() {
+        assert!(matches!(PVal::no_errs(), PVal::Errs(ErrList(None))));
+        assert!(matches!(PVal::errs(Vec::new()), PVal::Errs(ErrList(None))));
+        let none = PVal::errs_concat(&[&PVal::no_errs(), &PVal::Unit, &PVal::no_errs()]);
+        assert!(matches!(none, PVal::Errs(ErrList(None))));
+        assert_eq!(none, PVal::no_errs());
+        let one = PVal::err("x");
+        let PVal::Errs(ErrList(Some(orig))) = &one else {
+            panic!("one message allocates a list")
+        };
+        let shared = PVal::errs_concat(&[&PVal::no_errs(), &one]);
+        let PVal::Errs(ErrList(Some(got))) = &shared else {
+            panic!("the non-empty part is returned")
+        };
+        assert!(Arc::ptr_eq(orig, got));
+        // Wire size and fingerprint are those of an empty list however
+        // it was made.
+        assert_eq!(
+            none.wire_size(),
+            PVal::Errs(ErrList(Some(Arc::default()))).wire_size()
+        );
+        assert_eq!(
+            none.content_hash(),
+            PVal::Errs(ErrList(Some(Arc::default()))).content_hash()
+        );
+    }
+
+    #[test]
+    fn code_hash_follows_text_not_leaf_boundaries() {
+        let a = PVal::Code(Rope::from("ab").concat(&Rope::from("c")));
+        let b = PVal::Code(Rope::from("a").concat(&Rope::from("bc")));
+        assert_eq!(a, b);
+        assert_eq!(a.content_hash(), b.content_hash());
+        // Leaves past the merge bound stay separate, so these two cut
+        // the same text at different places.
+        let pad = "x".repeat(paragram_rope::CHUNK_BYTES);
+        let a = Rope::from(format!("{pad}ab")).concat(&Rope::from("c"));
+        let b = Rope::from(format!("{pad}a")).concat(&Rope::from("bc"));
+        assert_eq!((a.leaf_count(), b.leaf_count()), (2, 2));
+        let (a, b) = (PVal::Code(a), PVal::Code(b));
+        assert_eq!(a, b);
+        assert_eq!(a.content_hash(), b.content_hash());
+        assert_ne!(
+            a.content_hash(),
+            PVal::Code(Rope::from("abc")).content_hash()
+        );
     }
 
     #[test]

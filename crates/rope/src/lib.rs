@@ -9,6 +9,31 @@
 //! librarian once, and passes only a small [`Descriptor`] up the process
 //! tree; the librarian reassembles the final code from descriptors.
 //!
+//! # Short leaves are merged
+//!
+//! A code generator concatenates many small pieces — one instruction
+//! line is ~20 bytes — so a rope with one leaf per piece spends more on
+//! tree nodes than on text, and every walk (`to_string`, deflation,
+//! drop) pays per leaf. Concatenation therefore merges short leaves,
+//! following Boehm, Atkinson & Plass, "Ropes: an Alternative to
+//! Strings" (SP&E 1995): a leaf never grows past [`CHUNK_BYTES`] by
+//! merging, and `a.concat(b)` copies text only in three cases —
+//!
+//! * leaf + leaf → one leaf;
+//! * `Cat(L, leaf)` + leaf → `Cat(L, leaf')`;
+//! * leaf + `Cat(leaf, R)` → `Cat(leaf', R)`;
+//!
+//! each when the two leaves together fit the bound. Every other
+//! concatenation is one new inner node, as in the paper. The bound is a
+//! constant, not a setting: merging copies at most `CHUNK_BYTES` per
+//! concatenation, so concatenation stays O(1). Segment references
+//! (§4.2) are never merged, so the text runs and references a rope
+//! carries — what [`Rope::pieces`], [`Rope::deflate`] and
+//! [`Rope::physical_wire_size`] see — do not depend on how the text
+//! was split into leaves. Inner nodes cache their length, depth,
+//! physical wire size and whether any segment reference lies below, so
+//! those queries are O(1).
+//!
 //! # Examples
 //!
 //! ```
@@ -16,9 +41,10 @@
 //!
 //! let a = Rope::from("movl r1, r2\n");
 //! let b = Rope::from("addl2 $4, r2\n");
-//! let code = a.concat(&b); // O(1), shares both inputs
+//! let code = a.concat(&b); // O(1), shares or merges its inputs
 //! assert_eq!(code.len(), a.len() + b.len());
 //! assert_eq!(code.to_string(), "movl r1, r2\naddl2 $4, r2\n");
+//! assert_eq!(code.leaf_count(), 1); // two short leaves merged
 //! ```
 
 mod descriptor;
@@ -30,43 +56,50 @@ pub use seg::Piece;
 use std::fmt;
 use std::sync::Arc;
 
-/// Internal rope node: a text leaf, a segment reference (librarian
-/// protocol, see [`crate::seg`]), or an inner concatenation node.
-#[derive(Debug)]
-pub(crate) enum RNode {
+/// Longest leaf that concatenation builds by merging two shorter
+/// leaves. Leaves created directly ([`Rope::leaf`]) may be longer.
+pub const CHUNK_BYTES: usize = 512;
+
+/// A rope's root: a text leaf (one allocation), or a segment reference
+/// or concatenation behind one shared pointer, or nothing.
+#[derive(Clone)]
+pub(crate) enum Repr {
+    /// Literal text; never empty.
     Leaf(Arc<str>),
-    /// Reference to librarian-stored text with its logical length.
-    Seg(SegmentId, usize),
-    Concat {
-        left: Arc<RNode>,
-        right: Arc<RNode>,
-        len: usize,
-        depth: u32,
-    },
+    /// `None` is the empty rope.
+    Inner(Option<Arc<Inner>>),
 }
 
-impl RNode {
-    fn len(&self) -> usize {
-        match self {
-            RNode::Leaf(s) => s.len(),
-            RNode::Seg(_, len) => *len,
-            RNode::Concat { len, .. } => *len,
-        }
+impl Default for Repr {
+    fn default() -> Self {
+        Repr::Inner(None)
     }
+}
 
-    fn depth(&self) -> u32 {
-        match self {
-            RNode::Leaf(_) | RNode::Seg(..) => 0,
-            RNode::Concat { depth, .. } => *depth,
-        }
-    }
+pub(crate) enum Inner {
+    /// Reference to librarian-stored text with its logical length
+    /// (librarian protocol, see [`crate::seg`]).
+    Seg(SegmentId, usize),
+    /// Concatenation of two non-empty ropes.
+    Cat(Cat),
+}
+
+pub(crate) struct Cat {
+    pub(crate) left: Rope,
+    pub(crate) right: Rope,
+    len: usize,
+    /// Literal text bytes plus 9 per segment reference below.
+    phys: usize,
+    depth: u32,
+    segs: bool,
 }
 
 /// An immutable string represented as a binary tree of text chunks.
 ///
 /// Cloning and concatenating are cheap (reference-counted structure
-/// sharing); extracting the flat text is O(n). All compiler "string"
-/// attributes in this repository are `Rope`s, exactly as in the paper.
+/// sharing; short leaves are merged, see the crate docs); extracting
+/// the flat text is O(n). All compiler "string" attributes in this
+/// repository are `Rope`s, exactly as in the paper.
 ///
 /// A rope may contain *segment references* to text held by the string
 /// librarian ([`Rope::seg`], §4.2 of the paper). Text-reading methods
@@ -76,7 +109,7 @@ impl RNode {
 /// ([`Rope::has_segments`]).
 #[derive(Clone, Default)]
 pub struct Rope {
-    pub(crate) root: Option<Arc<RNode>>,
+    pub(crate) repr: Repr,
 }
 
 impl Rope {
@@ -87,7 +120,7 @@ impl Rope {
     /// assert!(r.is_empty());
     /// ```
     pub fn new() -> Self {
-        Rope { root: None }
+        Rope::default()
     }
 
     /// Creates a rope holding a single leaf with `text`.
@@ -97,24 +130,98 @@ impl Rope {
             Rope::new()
         } else {
             Rope {
-                root: Some(Arc::new(RNode::Leaf(text))),
+                repr: Repr::Leaf(text),
             }
+        }
+    }
+
+    pub(crate) fn inner(inner: Inner) -> Self {
+        Rope {
+            repr: Repr::Inner(Some(Arc::new(inner))),
+        }
+    }
+
+    /// The concatenation node over two non-empty ropes.
+    fn cat(left: Rope, right: Rope) -> Rope {
+        Rope::inner(Inner::Cat(Cat {
+            len: left.len() + right.len(),
+            phys: left.phys_bytes() + right.phys_bytes(),
+            depth: left.depth().max(right.depth()) + 1,
+            segs: left.has_segments() || right.has_segments(),
+            left,
+            right,
+        }))
+    }
+
+    /// A leaf holding `a` followed by `b`, built in one allocation.
+    fn joined(a: &str, b: &str) -> Rope {
+        let mut buf = Arc::<[u8]>::new_uninit_slice(a.len() + b.len());
+        let dst = Arc::get_mut(&mut buf).expect("a fresh Arc is unique");
+        let (head, tail) = dst.split_at_mut(a.len());
+        head.write_copy_of_slice(a.as_bytes());
+        tail.write_copy_of_slice(b.as_bytes());
+        // SAFETY: every byte was written above; two valid UTF-8 strings
+        // back to back are valid UTF-8, and `str` has the layout of
+        // `[u8]`.
+        let text = unsafe { Arc::from_raw(Arc::into_raw(buf.assume_init()) as *const str) };
+        Rope {
+            repr: Repr::Leaf(text),
+        }
+    }
+
+    pub(crate) fn as_leaf(&self) -> Option<&str> {
+        match &self.repr {
+            Repr::Leaf(s) => Some(s),
+            Repr::Inner(_) => None,
+        }
+    }
+
+    pub(crate) fn as_inner(&self) -> Option<&Inner> {
+        match &self.repr {
+            Repr::Leaf(_) => None,
+            Repr::Inner(i) => i.as_deref(),
+        }
+    }
+
+    fn as_cat(&self) -> Option<&Cat> {
+        match self.as_inner()? {
+            Inner::Cat(c) => Some(c),
+            Inner::Seg(..) => None,
+        }
+    }
+
+    /// Literal text bytes plus 9 per segment reference (O(1)).
+    pub(crate) fn phys_bytes(&self) -> usize {
+        match &self.repr {
+            Repr::Leaf(s) => s.len(),
+            Repr::Inner(None) => 0,
+            Repr::Inner(Some(i)) => match &**i {
+                Inner::Seg(..) => 9,
+                Inner::Cat(c) => c.phys,
+            },
         }
     }
 
     /// Total length in bytes.
     pub fn len(&self) -> usize {
-        self.root.as_ref().map_or(0, |n| n.len())
+        match &self.repr {
+            Repr::Leaf(s) => s.len(),
+            Repr::Inner(None) => 0,
+            Repr::Inner(Some(i)) => match &**i {
+                Inner::Seg(_, len) => *len,
+                Inner::Cat(c) => c.len,
+            },
+        }
     }
 
     /// `true` if the rope contains no text.
     pub fn is_empty(&self) -> bool {
-        self.root.is_none()
+        matches!(self.repr, Repr::Inner(None))
     }
 
     /// Height of the underlying tree (a leaf has depth 0).
     pub fn depth(&self) -> u32 {
-        self.root.as_ref().map_or(0, |n| n.depth())
+        self.as_cat().map_or(0, |c| c.depth)
     }
 
     /// Number of text leaves.
@@ -122,7 +229,10 @@ impl Rope {
         self.chunks().count()
     }
 
-    /// Concatenates two ropes in O(1) without copying text.
+    /// Concatenates two ropes in O(1), sharing both inputs. Short
+    /// leaves at the seam are merged into one of at most
+    /// [`CHUNK_BYTES`] (see the crate docs), which copies at most that
+    /// many bytes.
     ///
     /// ```
     /// use paragram_rope::Rope;
@@ -130,21 +240,35 @@ impl Rope {
     /// assert_eq!(r.to_string(), "abcd");
     /// ```
     pub fn concat(&self, other: &Rope) -> Rope {
-        match (&self.root, &other.root) {
-            (None, _) => other.clone(),
-            (_, None) => self.clone(),
-            (Some(l), Some(r)) => Rope {
-                root: Some(Arc::new(RNode::Concat {
-                    len: l.len() + r.len(),
-                    depth: l.depth().max(r.depth()) + 1,
-                    left: Arc::clone(l),
-                    right: Arc::clone(r),
-                })),
-            },
+        if self.is_empty() {
+            return other.clone();
         }
+        if other.is_empty() {
+            return self.clone();
+        }
+        let fits = |a: &str, b: &str| a.len() + b.len() <= CHUNK_BYTES;
+        match (self.as_leaf(), other.as_leaf()) {
+            (Some(a), Some(b)) if fits(a, b) => return Rope::joined(a, b),
+            (None, Some(b)) => {
+                if let Some(c) = self.as_cat() {
+                    if let Some(a) = c.right.as_leaf().filter(|a| fits(a, b)) {
+                        return Rope::cat(c.left.clone(), Rope::joined(a, b));
+                    }
+                }
+            }
+            (Some(a), None) => {
+                if let Some(c) = other.as_cat() {
+                    if let Some(b) = c.left.as_leaf().filter(|b| fits(a, b)) {
+                        return Rope::cat(Rope::joined(a, b), c.right.clone());
+                    }
+                }
+            }
+            _ => {}
+        }
+        Rope::cat(self.clone(), other.clone())
     }
 
-    /// Appends `text` as a new leaf (O(1)).
+    /// Appends `text` (O(1); merged into a short last leaf).
     pub fn push_str(&mut self, text: &str) {
         if !text.is_empty() {
             *self = self.concat(&Rope::leaf(text));
@@ -158,11 +282,7 @@ impl Rope {
 
     /// Iterates over the text chunks (leaves) left to right.
     pub fn chunks(&self) -> Chunks<'_> {
-        let mut stack = Vec::new();
-        if let Some(root) = &self.root {
-            stack.push(root.as_ref());
-        }
-        Chunks { stack }
+        Chunks { stack: vec![self] }
     }
 
     /// Iterates over the lines of the rope (without trailing `\n`),
@@ -185,22 +305,22 @@ impl Rope {
 
     /// Byte at position `i`, or `None` past the end. O(depth).
     pub fn byte_at(&self, mut i: usize) -> Option<u8> {
-        let mut node = self.root.as_deref()?;
-        if i >= node.len() {
+        if i >= self.len() {
             return None;
         }
+        let mut node = self;
         loop {
-            match node {
-                RNode::Leaf(s) => return s.as_bytes().get(i).copied(),
-                RNode::Seg(..) => return None, // unresolved text
-                RNode::Concat { left, right, .. } => {
-                    if i < left.len() {
-                        node = left;
+            match (&node.repr, node.as_inner()) {
+                (Repr::Leaf(s), _) => return s.as_bytes().get(i).copied(),
+                (_, Some(Inner::Cat(c))) => {
+                    if i < c.left.len() {
+                        node = &c.left;
                     } else {
-                        i -= left.len();
-                        node = right;
+                        i -= c.left.len();
+                        node = &c.right;
                     }
                 }
+                _ => return None, // unresolved text
             }
         }
     }
@@ -213,12 +333,12 @@ impl Rope {
         if self.len() <= 1 || self.has_segments() {
             return self.clone();
         }
-        const CHUNK: usize = 4096;
+        const LEAF: usize = 4096;
         let flat = self.to_string();
         let mut leaves: Vec<Rope> = Vec::new();
         let mut rest = flat.as_str();
         while !rest.is_empty() {
-            let take = rest.len().min(CHUNK);
+            let take = rest.len().min(LEAF);
             // Avoid splitting a UTF-8 sequence.
             let mut cut = take;
             while !rest.is_char_boundary(cut) {
@@ -287,7 +407,7 @@ fn build_balanced(leaves: &[Rope]) -> Rope {
 ///
 /// Produced by [`Rope::chunks`].
 pub struct Chunks<'a> {
-    stack: Vec<&'a RNode>,
+    stack: Vec<&'a Rope>,
 }
 
 impl<'a> Iterator for Chunks<'a> {
@@ -295,13 +415,14 @@ impl<'a> Iterator for Chunks<'a> {
 
     fn next(&mut self) -> Option<&'a str> {
         while let Some(node) = self.stack.pop() {
-            match node {
-                RNode::Leaf(s) => return Some(s),
-                RNode::Seg(..) => continue, // unresolved text is not visible
-                RNode::Concat { left, right, .. } => {
-                    self.stack.push(right);
-                    self.stack.push(left);
+            match (&node.repr, node.as_inner()) {
+                (Repr::Leaf(s), _) => return Some(s),
+                (_, Some(Inner::Cat(c))) => {
+                    self.stack.push(&c.right);
+                    self.stack.push(&c.left);
                 }
+                // Empty, or unresolved text that is not visible.
+                _ => {}
             }
         }
         None
@@ -446,17 +567,72 @@ mod tests {
         assert_eq!(r.leaf_count(), 0);
     }
 
+    /// `n` bytes of `ch`: a leaf past the merge bound when `n > CHUNK_BYTES`.
+    fn long(ch: char, n: usize) -> String {
+        std::iter::repeat_n(ch, n).collect()
+    }
+
     #[test]
     fn concat_is_constant_shape() {
-        let a = Rope::from("aa");
-        let b = Rope::from("bb");
+        // Leaves past the chunk bound are never merged: concatenation
+        // is one new node over both inputs.
+        let (sa, sb) = (long('a', CHUNK_BYTES + 1), long('b', CHUNK_BYTES + 1));
+        let a = Rope::from(sa.as_str());
+        let b = Rope::from(sb.as_str());
         let c = a.concat(&b);
-        assert_eq!(c.len(), 4);
+        assert_eq!(c.len(), sa.len() + sb.len());
         assert_eq!(c.depth(), 1);
-        assert_eq!(c.to_string(), "aabb");
+        assert_eq!(c.leaf_count(), 2);
+        assert_eq!(c.to_string(), format!("{sa}{sb}"));
         // inputs unchanged (persistence)
-        assert_eq!(a.to_string(), "aa");
-        assert_eq!(b.to_string(), "bb");
+        assert_eq!(a.to_string(), sa);
+        assert_eq!(b.to_string(), sb);
+    }
+
+    #[test]
+    fn short_leaves_merge_up_to_the_chunk_bound() {
+        // leaf + leaf
+        let ab = Rope::from("aa").concat(&Rope::from("bb"));
+        assert_eq!((ab.depth(), ab.leaf_count()), (0, 1));
+        assert_eq!(ab.to_string(), "aabb");
+        // Cat(L, leaf) + leaf
+        let big = long('x', CHUNK_BYTES);
+        let left = Rope::from(big.as_str()).concat(&Rope::from("c"));
+        assert_eq!(left.leaf_count(), 2);
+        let r = left.concat(&Rope::from("d"));
+        assert_eq!((r.depth(), r.leaf_count()), (1, 2));
+        assert_eq!(r.to_string(), format!("{big}cd"));
+        // leaf + Cat(leaf, R)
+        let right = Rope::from("e").concat(&Rope::from(big.as_str()));
+        let r = Rope::from("f").concat(&right);
+        assert_eq!((r.depth(), r.leaf_count()), (1, 2));
+        assert_eq!(r.to_string(), format!("fe{big}"));
+        // A merge that would pass the bound is a new node instead.
+        let half = long('h', CHUNK_BYTES / 2 + 1);
+        let r = Rope::from(half.as_str()).concat(&Rope::from(half.as_str()));
+        assert_eq!((r.depth(), r.leaf_count()), (1, 2));
+        // Appending short pieces keeps leaves near the bound.
+        let mut acc = Rope::new();
+        for i in 0..1000 {
+            acc.push_str(&format!("line {i}\n"));
+        }
+        assert!(acc.len() / acc.leaf_count() > CHUNK_BYTES / 2);
+    }
+
+    #[test]
+    fn merging_never_crosses_a_segment() {
+        let seg = Rope::seg(SegmentId(3), 4);
+        let r = Rope::from("a").concat(&seg).concat(&Rope::from("b"));
+        assert_eq!(
+            r.pieces(),
+            vec![
+                Piece::Text("a".into()),
+                Piece::Seg(SegmentId(3), 4),
+                Piece::Text("b".into())
+            ]
+        );
+        assert_eq!(r.physical_wire_size(), 8 + 1 + 9 + 1);
+        assert!(r.has_segments());
     }
 
     #[test]
@@ -498,9 +674,11 @@ mod tests {
 
     #[test]
     fn lines_cross_chunks() {
-        let r = Rope::from("one\ntw").concat(&Rope::from("o\nthree"));
+        let (head, tail) = (long('1', CHUNK_BYTES), long('3', CHUNK_BYTES));
+        let r = Rope::from(format!("{head}\ntw")).concat(&Rope::from(format!("o\n{tail}")));
+        assert_eq!(r.leaf_count(), 2, "the line crosses a chunk boundary");
         let lines: Vec<String> = r.lines().collect();
-        assert_eq!(lines, vec!["one", "two", "three"]);
+        assert_eq!(lines, vec![head.as_str(), "two", tail.as_str()]);
         assert_eq!(r.newline_count(), 2);
     }
 
@@ -514,8 +692,9 @@ mod tests {
     #[test]
     fn rebalance_preserves_content() {
         let mut r = Rope::new();
+        let pad = long('-', CHUNK_BYTES);
         for i in 0..200 {
-            r.push_str(&format!("line {i}\n"));
+            r.push_str(&format!("line {i} {pad}\n"));
         }
         assert!(r.depth() >= 100); // list-like
         let b = r.rebalance();

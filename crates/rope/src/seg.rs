@@ -8,8 +8,7 @@
 //! concatenate such ropes exactly like ordinary ones; the librarian
 //! [`Rope::resolve`]s the final rope against its [`SegmentStore`].
 
-use crate::{RNode, Rope, SegmentId, SegmentStore, UnknownSegment};
-use std::sync::Arc;
+use crate::{Inner, Rope, SegmentId, SegmentStore, UnknownSegment};
 
 /// A flattened view element of a rope: either owned text or a segment
 /// reference.
@@ -28,21 +27,17 @@ impl Rope {
         if len == 0 {
             return Rope::new();
         }
-        Rope {
-            root: Some(Arc::new(RNode::Seg(id, len))),
-        }
+        Rope::inner(Inner::Seg(id, len))
     }
 
     /// `true` if the rope contains unresolved segment references.
+    /// O(1): inner nodes cache it.
     pub fn has_segments(&self) -> bool {
-        fn go(n: &RNode) -> bool {
-            match n {
-                RNode::Leaf(_) => false,
-                RNode::Seg(..) => true,
-                RNode::Concat { left, right, .. } => go(left) || go(right),
-            }
+        match self.as_inner() {
+            None => false,
+            Some(Inner::Seg(..)) => true,
+            Some(Inner::Cat(c)) => c.segs,
         }
-        self.root.as_deref().is_some_and(go)
     }
 
     /// Segment ids referenced, left to right.
@@ -59,20 +54,21 @@ impl Rope {
     /// Flattens the rope into maximal text runs and segment references.
     pub fn pieces(&self) -> Vec<Piece> {
         let mut out: Vec<Piece> = Vec::new();
-        let mut stack: Vec<&RNode> = Vec::new();
-        if let Some(r) = self.root.as_deref() {
-            stack.push(r);
-        }
+        let mut stack: Vec<&Rope> = vec![self];
         while let Some(n) = stack.pop() {
-            match n {
-                RNode::Leaf(s) => match out.last_mut() {
+            if let Some(s) = n.as_leaf() {
+                match out.last_mut() {
                     Some(Piece::Text(t)) => t.push_str(s),
                     _ => out.push(Piece::Text(s.to_string())),
-                },
-                RNode::Seg(id, len) => out.push(Piece::Seg(*id, *len)),
-                RNode::Concat { left, right, .. } => {
-                    stack.push(right);
-                    stack.push(left);
+                }
+                continue;
+            }
+            match n.as_inner() {
+                None => {}
+                Some(Inner::Seg(id, len)) => out.push(Piece::Seg(*id, *len)),
+                Some(Inner::Cat(c)) => {
+                    stack.push(&c.right);
+                    stack.push(&c.left);
                 }
             }
         }
@@ -134,16 +130,9 @@ impl Rope {
     /// Bytes physically carried by this rope on the wire: literal text
     /// plus 9 bytes per segment reference plus a header. This is what
     /// the librarian optimization shrinks — the logical [`Rope::len`] is
-    /// unchanged.
+    /// unchanged. O(1): inner nodes cache it.
     pub fn physical_wire_size(&self) -> usize {
-        fn go(n: &RNode) -> usize {
-            match n {
-                RNode::Leaf(s) => s.len(),
-                RNode::Seg(..) => 9,
-                RNode::Concat { left, right, .. } => go(left) + go(right),
-            }
-        }
-        8 + self.root.as_deref().map_or(0, go)
+        8 + self.phys_bytes()
     }
 }
 

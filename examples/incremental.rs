@@ -38,7 +38,7 @@ fn main() {
         .node_ids()
         .find(|&n| tree.grammar().prod(tree.node(n).prod).name == "const")
         .expect("const declaration");
-    let Child::Token(vals) = &tree.node(target).children[1] else {
+    let Some(Child::Token(vals)) = tree.child(target, 2) else {
         panic!("const's second occurrence is the number token")
     };
     println!("\nediting `const k = {}` to `const k = 7` …", vals[0].int());
